@@ -55,6 +55,27 @@ struct Basis {
   bool empty() const { return basic.empty(); }
 };
 
+/// Per-kernel wall time of one revised-simplex solve, in seconds.  The
+/// slots do not overlap: each FTRAN and BTRAN is counted once, under its own
+/// slot, whichever kernel issued it.  The dense oracle leaves them zero.
+struct KernelSeconds {
+  double build = 0.0;         // Internal matrix form, bounds, basis install.
+  double factorize = 0.0;     // LU factorizations and basic-value rebuilds.
+  double ftran = 0.0;         // Every B^-1 a solve.
+  double btran = 0.0;         // Every B^-T c solve.
+  double pricing = 0.0;       // Entering-column choice (CHUZC) and its gap test.
+  double pivot_row = 0.0;     // Pivot-row walk: Devex weights, reduced costs.
+  double dual_refresh = 0.0;  // Reduced-cost sweep over every column.
+  double ratio_test = 0.0;    // Leaving-row choice (CHUZR).
+  double update = 0.0;        // Primal step, eta append, feasibility and
+                              // reduced-cost hygiene checks, extraction.
+
+  double total() const {
+    return build + factorize + ftran + btran + pricing + pivot_row + dual_refresh +
+           ratio_test + update;
+  }
+};
+
 struct Solution {
   Status status = Status::kNumericalFailure;
   double objective = 0.0;
@@ -71,6 +92,7 @@ struct Solution {
   int phase1_iterations = 0;
   int refactorizations = 0;
   double solve_seconds = 0.0;
+  KernelSeconds kernels;  // Where solve_seconds went (revised simplex only).
   Basis basis;  // Final basis, reusable as a warm start.
 
   bool optimal() const { return status == Status::kOptimal; }

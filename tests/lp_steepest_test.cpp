@@ -34,9 +34,14 @@ struct ShapedLp {
   }
 };
 
+/// `epoch_drift` > 0 additionally scales every load-row coefficient by an
+/// independent factor in [1 - drift, 1 + drift]: the shape of an nwlb
+/// epoch, where every class's demand moves a little.
 ShapedLp make_shaped(int classes, int nodes, std::uint64_t seed,
-                     double perturb_class_weight = 1.0, int perturbed_class = 0) {
+                     double perturb_class_weight = 1.0, int perturbed_class = 0,
+                     double epoch_drift = 0.0) {
   Rng rng(seed);
+  Rng drift(seed ^ 0xd21f7ull);
   ShapedLp lp;
   lp.load = lp.model.add_variable(0, kInf, 1.0, "LoadCost");
   lp.p.resize(static_cast<std::size_t>(classes));
@@ -53,6 +58,7 @@ ShapedLp make_shaped(int classes, int nodes, std::uint64_t seed,
     for (int c = 0; c < classes; ++c) {
       double w = 0.5 + 2.5 * rng.uniform();
       if (c == perturbed_class) w *= perturb_class_weight;
+      if (epoch_drift > 0.0) w *= 1.0 + epoch_drift * (2.0 * drift.uniform() - 1.0);
       lp.model.add_coefficient(r, lp.p[static_cast<std::size_t>(c)][static_cast<std::size_t>(j)], w);
     }
     lp.model.add_coefficient(r, lp.load, -1);
@@ -186,6 +192,118 @@ TEST(DeltaResolve, WrongFocusStillSolvesExactly) {
   ASSERT_EQ(warm.status, Status::kOptimal);
   EXPECT_NEAR(warm.objective, cold.objective,
               1e-6 * std::max(1.0, std::abs(cold.objective)));
+}
+
+// Pivot identity: the entering-column rule may get faster, but it must not
+// change a single choice.  These counts were recorded before the pricing
+// pass moved from a full column scan to a candidate set, and are pinned
+// exactly; any drift means a different pivot sequence.
+struct PivotCounts {
+  int iterations;
+  int phase1_iterations;
+  int refactorizations;
+};
+
+void expect_pivots(const Solution& s, PivotCounts want) {
+  EXPECT_EQ(s.iterations, want.iterations);
+  EXPECT_EQ(s.phase1_iterations, want.phase1_iterations);
+  EXPECT_EQ(s.refactorizations, want.refactorizations);
+}
+
+TEST(PivotIdentity, ColdShapedSolve) {
+  const ShapedLp shaped = make_shaped(150, 12, 0x90d1);
+  const Solution s = solve_revised(shaped.model);
+  ASSERT_EQ(s.status, Status::kOptimal);
+  expect_pivots(s, {1228, 158, 14});
+}
+
+TEST(PivotIdentity, WarmResolveAfterLoadRowDrift) {
+  const ShapedLp base = make_shaped(150, 12, 0x90d1);
+  const Solution base_solution = solve_revised(base.model);
+  ASSERT_EQ(base_solution.status, Status::kOptimal);
+  const ShapedLp epoch = make_shaped(150, 12, 0x90d1, 1.0, 0, 0.1);
+  const Solution warm = solve_revised(epoch.model, {}, &base_solution.basis);
+  ASSERT_EQ(warm.status, Status::kOptimal);
+  expect_pivots(warm, {64, 10, 1});
+}
+
+TEST(PivotIdentity, FocusedDeltaResolve) {
+  const ShapedLp base = make_shaped(150, 12, 0x90d1);
+  const Solution base_solution = solve_revised(base.model);
+  ASSERT_EQ(base_solution.status, Status::kOptimal);
+  const ShapedLp drifted = make_shaped(150, 12, 0x90d1, 4.0, 11);
+  Options focus_opt;
+  const std::vector<int> focus = drifted.columns_of({11});
+  focus_opt.priority_columns = &focus;
+  const Solution warm = solve_revised(drifted.model, focus_opt, &base_solution.basis);
+  ASSERT_EQ(warm.status, Status::kOptimal);
+  expect_pivots(warm, {37, 7, 1});
+}
+
+// A low stall limit hands the degenerate coverage block to Bland's rule
+// within a few pivots; the different pivot count proves it took over.
+TEST(PivotIdentity, DegenerateBlandSolve) {
+  const ShapedLp shaped = make_shaped(80, 8, 0xb1a4d);
+  Options bland_opt;
+  bland_opt.stall_limit = 2;
+  const Solution bland = solve_revised(shaped.model, bland_opt);
+  const Solution plain = solve_revised(shaped.model);
+  ASSERT_EQ(bland.status, Status::kOptimal);
+  ASSERT_EQ(plain.status, Status::kOptimal);
+  EXPECT_NEAR(bland.objective, plain.objective,
+              1e-6 * std::max(1.0, std::abs(plain.objective)));
+  EXPECT_NE(total_iterations(bland), total_iterations(plain));
+  expect_pivots(bland, {2011, 94, 22});
+}
+
+// Bounded-accuracy termination reads the pricing pass's gap certificate
+// every phase-2 iteration, so its stopping point is pinned too.
+TEST(PivotIdentity, GoodEnoughStopsAtTheSamePivot) {
+  const ShapedLp shaped = make_shaped(150, 12, 0x90d1);
+  Options opt;
+  opt.objective_tolerance = 0.05;
+  const Solution s = solve_revised(shaped.model, opt);
+  ASSERT_EQ(s.status, Status::kGoodEnough);
+  expect_pivots(s, {1174, 158, 14});
+}
+
+// Warm re-solves through at-upper nonbasics and a node-down (0,0) bound
+// edit: the warm basis seats columns at bounds that no longer exist, the
+// bound flips walk columns across their whole range, and the answer must
+// still be the dense oracle's optimum.
+TEST(WarmResolve, BoundFlipsAndNodeDownReachDenseOptimum) {
+  ShapedLp shaped = make_shaped(16, 5, 0xf11b);
+  // Per-node caps of 0.4 force every class onto at least three nodes, so
+  // columns rest at their upper bound and bound flips are cheap moves.
+  for (const auto& row : shaped.p)
+    for (const VarId v : row) shaped.model.set_bounds(v, 0.0, 0.4);
+  const Solution healthy = solve_revised(shaped.model);
+  ASSERT_EQ(healthy.status, Status::kOptimal);
+  const Solution healthy_oracle = solve_dense(shaped.model);
+  ASSERT_EQ(healthy_oracle.status, Status::kOptimal);
+  EXPECT_NEAR(healthy.objective, healthy_oracle.objective, 1e-6);
+  int at_upper = 0;
+  for (const NonbasicState s : healthy.basis.nonbasic_state)
+    at_upper += s == NonbasicState::kAtUpper ? 1 : 0;
+  EXPECT_GT(at_upper, 0) << "no column rests at its upper bound";
+
+  // Node 2 goes down: every class loses that column.
+  for (const auto& row : shaped.p) shaped.model.set_bounds(row[2], 0.0, 0.0);
+  const Solution warm = solve_revised(shaped.model, {}, &healthy.basis);
+  const Solution oracle = solve_dense(shaped.model);
+  ASSERT_EQ(warm.status, Status::kOptimal);
+  ASSERT_EQ(oracle.status, Status::kOptimal);
+  EXPECT_NEAR(warm.objective, oracle.objective, 1e-6);
+  EXPECT_LE(shaped.model.max_violation(warm.x), 1e-6);
+  for (const auto& row : shaped.p) EXPECT_NEAR(warm.value(row[2]), 0.0, 1e-9);
+
+  // The node comes back with a tighter cap: another warm hop.
+  for (const auto& row : shaped.p) shaped.model.set_bounds(row[2], 0.0, 0.25);
+  const Solution back = solve_revised(shaped.model, {}, &warm.basis);
+  const Solution back_oracle = solve_dense(shaped.model);
+  ASSERT_EQ(back.status, Status::kOptimal);
+  ASSERT_EQ(back_oracle.status, Status::kOptimal);
+  EXPECT_NEAR(back.objective, back_oracle.objective, 1e-6);
 }
 
 // Both backends must report the same status for the same exhausted
