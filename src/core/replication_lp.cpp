@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace nwlb::core {
 
@@ -58,9 +59,20 @@ void ReplicationLp::build() {
     slack_vars_.push_back(slack);
   }
 
+  // Each processing node's p and o variables in creation order, bucketed in
+  // one pass so every load row reads its own bucket instead of scanning all
+  // variables; the rows' entry order, and so the model, is unchanged.
+  const int num_nodes = in.num_processing_nodes();
+  std::vector<std::vector<const PVar*>> p_at(static_cast<std::size_t>(num_nodes));
+  std::vector<std::vector<const OVar*>> o_at(static_cast<std::size_t>(num_nodes));
+  for (const PVar& pv : p_vars_)
+    if (pv.node >= 0 && pv.node < num_nodes) p_at[static_cast<std::size_t>(pv.node)].push_back(&pv);
+  for (const OVar& ov : o_vars_)
+    if (ov.to >= 0 && ov.to < num_nodes) o_at[static_cast<std::size_t>(ov.to)].push_back(&ov);
+
   // Load rows (Eq. 3 folded into Eq. 1's epigraph form):
   //   sum_c F_c |T_c| x / Cap_j^r - LoadCost <= 0.
-  for (int node = 0; node < in.num_processing_nodes(); ++node) {
+  for (int node = 0; node < num_nodes; ++node) {
     for (int r = 0; r < nids::kNumResources; ++r) {
       const auto res = static_cast<nids::Resource>(r);
       if (in.footprint.on(res) <= 0.0) continue;  // Unused resource kind.
@@ -68,18 +80,16 @@ void ReplicationLp::build() {
           lp::Sense::kLessEqual, 0.0, "load_n" + std::to_string(node) + "_r" + std::to_string(r));
       const double cap = in.capacities.of(node, res);
       bool any = false;
-      for (const PVar& pv : p_vars_) {
-        if (pv.node != node) continue;
-        const auto& cls = in.classes[static_cast<std::size_t>(pv.class_index)];
-        model_.add_coefficient(row, pv.var,
-                               in.footprint_of(pv.class_index, res) * cls.sessions / cap);
+      for (const PVar* pv : p_at[static_cast<std::size_t>(node)]) {
+        const auto& cls = in.classes[static_cast<std::size_t>(pv->class_index)];
+        model_.add_coefficient(row, pv->var,
+                               in.footprint_of(pv->class_index, res) * cls.sessions / cap);
         any = true;
       }
-      for (const OVar& ov : o_vars_) {
-        if (ov.to != node) continue;
-        const auto& cls = in.classes[static_cast<std::size_t>(ov.class_index)];
-        model_.add_coefficient(row, ov.var,
-                               in.footprint_of(ov.class_index, res) * cls.sessions / cap);
+      for (const OVar* ov : o_at[static_cast<std::size_t>(node)]) {
+        const auto& cls = in.classes[static_cast<std::size_t>(ov->class_index)];
+        model_.add_coefficient(row, ov->var,
+                               in.footprint_of(ov->class_index, res) * cls.sessions / cap);
         any = true;
       }
       if (!any) continue;  // Row would be vacuous; Model drops no rows, so
@@ -103,10 +113,9 @@ void ReplicationLp::build() {
   if (in.has_datacenter() && in.dc_access_capacity > 0.0) {
     const lp::RowId row =
         model_.add_row(lp::Sense::kLessEqual, in.max_link_load, "dc_access");
-    for (const OVar& ov : o_vars_) {
-      if (ov.to != in.datacenter_id()) continue;
-      const auto& cls = in.classes[static_cast<std::size_t>(ov.class_index)];
-      model_.add_coefficient(row, ov.var,
+    for (const OVar* ov : o_at[static_cast<std::size_t>(in.datacenter_id())]) {
+      const auto& cls = in.classes[static_cast<std::size_t>(ov->class_index)];
+      model_.add_coefficient(row, ov->var,
                              cls.sessions * cls.bytes_per_session / in.dc_access_capacity);
     }
   }

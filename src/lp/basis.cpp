@@ -73,6 +73,7 @@ BasisFactor::FactorizeResult BasisFactor::factorize(const AugmentedMatrix& matri
   porder_.assign(static_cast<std::size_t>(m_), -1);
   qorder_.assign(static_cast<std::size_t>(m_), -1);
   qinv_.assign(static_cast<std::size_t>(m_), -1);
+  work_.assign(static_cast<std::size_t>(m_), 0.0);
 
   // Process sparsest columns first; this keeps the GUB/slack-dominated bases
   // of the nwlb formulations nearly triangular and fill-in negligible.
@@ -226,7 +227,8 @@ BasisFactor::FactorizeResult BasisFactor::factorize(const AugmentedMatrix& matri
 
 void BasisFactor::ftran(std::span<double> x) const {
   NWLB_CHECK_EQ(static_cast<int>(x.size()), m_, "BasisFactor::ftran: bad dimension");
-  std::vector<double> work(static_cast<std::size_t>(m_));
+  // Every slot of the scratch is written by the permutation below.
+  std::vector<double>& work = work_;
   for (int i = 0; i < m_; ++i)
     work[static_cast<std::size_t>(pinv_[static_cast<std::size_t>(i)])] =
         x[static_cast<std::size_t>(i)];
@@ -275,8 +277,8 @@ void BasisFactor::btran(std::span<double> x) const {
       v -= it->value[p] * x[static_cast<std::size_t>(it->index[p])];
     x[static_cast<std::size_t>(it->pivot_pos)] = v / it->pivot_value;
   }
-  // Permute basis positions into factorization steps.
-  std::vector<double> work(static_cast<std::size_t>(m_));
+  // Permute basis positions into factorization steps (writes every slot).
+  std::vector<double>& work = work_;
   for (int k = 0; k < m_; ++k)
     work[static_cast<std::size_t>(k)] =
         x[static_cast<std::size_t>(qorder_[static_cast<std::size_t>(k)])];

@@ -54,7 +54,8 @@ class BasisFactor {
                             double pivot_tol);
 
   /// Solves B x = b in place; `x` enters holding b (dense, size m) and
-  /// leaves holding the solution, indexed by *basis position*.
+  /// leaves holding the solution, indexed by *basis position*.  Not safe to
+  /// call concurrently on one factor (ftran and btran share a scratch).
   void ftran(std::span<double> x) const;
 
   /// Solves B^T y = c in place; `x` enters holding c indexed by basis
@@ -93,6 +94,9 @@ class BasisFactor {
   std::vector<int> qorder_; // qorder_[k] = basis position factored at step k.
   std::vector<int> qinv_;   // qinv_[basis position] = factorization step.
   std::vector<EtaVector> etas_;
+  // FTRAN/BTRAN scratch (size m), kept across calls instead of allocated per
+  // solve; it makes concurrent solves on one BasisFactor unsafe.
+  mutable std::vector<double> work_;
 };
 
 }  // namespace nwlb::lp

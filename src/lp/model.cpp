@@ -60,24 +60,26 @@ std::size_t Model::num_nonzeros() const {
 }
 
 void Model::normalize() {
-  for (auto& entries : row_entries_) {
-    if (entries.size() < 2) continue;
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) { return a.var < b.var; });
-    std::vector<Entry> merged;
-    merged.reserve(entries.size());
-    for (const Entry& e : entries) {
-      if (!merged.empty() && merged.back().var == e.var) {
-        merged.back().coef += e.coef;
-      } else {
-        merged.push_back(e);
-      }
+  for (auto& entries : row_entries_) normalize_entries(entries);
+}
+
+void Model::normalize_entries(std::vector<Entry>& entries) {
+  if (entries.size() < 2) return;
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) { return a.var < b.var; });
+  std::vector<Entry> merged;
+  merged.reserve(entries.size());
+  for (const Entry& e : entries) {
+    if (!merged.empty() && merged.back().var == e.var) {
+      merged.back().coef += e.coef;
+    } else {
+      merged.push_back(e);
     }
-    merged.erase(std::remove_if(merged.begin(), merged.end(),
-                                [](const Entry& e) { return e.coef == 0.0; }),
-                 merged.end());
-    entries = std::move(merged);
   }
+  merged.erase(std::remove_if(merged.begin(), merged.end(),
+                              [](const Entry& e) { return e.coef == 0.0; }),
+               merged.end());
+  entries = std::move(merged);
 }
 
 double Model::max_violation(const std::vector<double>& x) const {

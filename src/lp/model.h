@@ -78,6 +78,12 @@ class Model {
   /// form; it is idempotent.
   void normalize();
 
+  /// normalize()'s rule for one row: sorts by variable, sums duplicates and
+  /// drops exact zeros (a row of fewer than two entries is left as is).
+  /// Solvers apply it to a scratch copy of each row instead of copying the
+  /// whole model.
+  static void normalize_entries(std::vector<Entry>& entries);
+
   /// Evaluates a candidate solution: returns the maximum constraint / bound
   /// violation.  Used by tests and by solution sanity checks.
   double max_violation(const std::vector<double>& x) const;
