@@ -14,9 +14,9 @@
 //   3. signature engine ns/byte — the baseline node-per-state Aho–Corasick
 //      vs the flat premultiplied table, single-stream and 4-lane batch
 //      (the form the data plane drives); the batch must be >= 2x baseline.
-//   4. run-to-completion headline — sessions/sec and payload bytes/sec of
-//      the arena/SPSC-ring replay on a probe-heavy trace (16 B payloads,
-//      one packet per direction), with a worker-scaling table.  The
+//   4. replay headline — sessions/sec and payload bytes/sec of the
+//      sharded replay on a probe-heavy trace (16 B payloads, one packet
+//      per direction), with a worker-scaling table.  The
 //      serial/parallel byte-identity check is enforced unconditionally
 //      (mismatch = exit 1); NWLB_BENCH_ENFORCE=1 additionally fails the
 //      run when the headline misses target_sessions_per_sec (1M) or the
@@ -285,7 +285,7 @@ int main() {
         .cell(stats_identical(serial_stats, parallel_stats) ? "yes" : "NO");
   }
 
-  // --- 3. Run-to-completion headline: end-to-end sessions/sec through the
+  // --- 3. Replay headline: end-to-end sessions/sec through the
   // full sharded data plane (decide -> payload -> engines -> tunnels) on a
   // probe-heavy trace, targeting >= 1M sessions/sec. ---
   util::Table rtc_table({"Workers", "Sessions", "Packets", "Sec", "SessionsPerSec",
@@ -325,13 +325,12 @@ int main() {
     std::optional<sim::ReplayStats> serial_stats;
     for (const int w : {1, 2, 4, 8}) {
       sim::ReplayOptions opts;
-      opts.run_to_completion = true;
       opts.num_workers = w;
-      sim::ReplaySimulator rtc(input, bundle, opts);
+      sim::ReplaySimulator replay(input, bundle, opts);
       const auto start = std::chrono::steady_clock::now();
-      rtc.replay(trace, generator);
+      replay.replay(trace, generator);
       const double sec = seconds_since(start);
-      const sim::ReplayStats stats = rtc.stats();
+      const sim::ReplayStats stats = replay.stats();
       const double sps = static_cast<double>(trace.size()) / sec;
       const double bps = payload_bytes_total / sec;
       bool identical = true;
@@ -362,7 +361,7 @@ int main() {
   bench::print_table(decide_table);
   std::cout << "-- replay throughput (Identical must be yes) --\n";
   bench::print_table(replay_table);
-  std::cout << "-- run-to-completion headline (SessionsPerSec vs 1M target) --\n";
+  std::cout << "-- replay headline (SessionsPerSec vs 1M target) --\n";
   bench::print_table(rtc_table);
   std::cout << "-- LP solve (context for the configs above) --\n";
   bench::print_table(lp_table);
@@ -391,7 +390,7 @@ int main() {
   // The byte-identity invariant is a correctness property, not a perf
   // target: a mismatch fails the bench no matter what was requested.
   if (!identity_ok) {
-    std::cerr << "FAIL: run-to-completion serial/parallel ReplayStats mismatch\n";
+    std::cerr << "FAIL: replay headline serial/parallel ReplayStats mismatch\n";
     return 1;
   }
   if (util::env_flag("NWLB_BENCH_ENFORCE")) {

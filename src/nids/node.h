@@ -43,8 +43,8 @@ class NidsNode {
   std::size_t process(const Packet& packet) { return process(PacketView(packet)); }
 
   /// Pre-sizes the detector state for the expected epoch volume so the
-  /// per-packet path never rehashes (run-to-completion shards call this
-  /// once per epoch).
+  /// per-packet path never rehashes (replay shards call this once per
+  /// window).
   void reserve(std::size_t expected_sessions);
 
   const std::string& name() const { return name_; }

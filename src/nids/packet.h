@@ -50,10 +50,10 @@ struct Packet {
 };
 
 /// Non-owning view of a packet: the same header fields, with the payload
-/// referencing caller-owned bytes (a staging buffer, a tunnel-frame slot).
-/// This is the allocation-free currency of the run-to-completion replay
-/// path — a Packet can be viewed, and a view can be materialized wherever
-/// an owning Packet is still needed.
+/// referencing caller-owned bytes (a staging buffer, a tunnel frame).
+/// This is the allocation-free currency of the replay path — a Packet can
+/// be viewed, and a view can be materialized wherever an owning Packet is
+/// still needed.
 struct PacketView {
   FiveTuple tuple;
   Direction direction = Direction::kForward;

@@ -5,8 +5,6 @@
 #include <bit>
 #include <utility>
 
-#include "util/check.h"
-
 namespace nwlb::shim {
 
 namespace {
@@ -73,33 +71,6 @@ FlatConfig::FlatConfig(const ShimConfig& config) {
       buckets_.push_back(segment);
     }
     buckets_.push_back(slot.seg_count - 1);  // Sentinel: last segment.
-  }
-}
-
-void FlatConfig::lookup_batch(int class_id, nids::Direction direction,
-                              std::span<const std::uint32_t> hashes,
-                              std::span<Action> out) const {
-  lookup_batch_with(simd::active_backend(), class_id, direction, hashes, out);
-}
-
-void FlatConfig::lookup_batch_with(simd::Backend backend, int class_id,
-                                   nids::Direction direction,
-                                   std::span<const std::uint32_t> hashes,
-                                   std::span<Action> out) const {
-  NWLB_CHECK_EQ(hashes.size(), out.size(), "FlatConfig::lookup_batch: size mismatch");
-  simd::SegmentTableView view;
-  if (!table_view(class_id, direction, view)) {
-    std::fill(out.begin(), out.end(), Action::ignore());
-    return;
-  }
-  // The kernels emit packed codes; stage them through a stack chunk so
-  // arbitrarily large batches never allocate on this path.
-  constexpr std::size_t kChunk = 512;
-  std::int32_t packed[kChunk];
-  for (std::size_t done = 0; done < hashes.size(); done += kChunk) {
-    const std::size_t n = std::min(kChunk, hashes.size() - done);
-    simd::decide_with(backend, view, hashes.data() + done, packed, n);
-    for (std::size_t i = 0; i < n; ++i) out[done + i] = decode(packed[i]);
   }
 }
 

@@ -23,12 +23,10 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "nids/packet.h"
 #include "shim/config.h"
-#include "shim/flat_simd.h"
 
 namespace nwlb::shim {
 
@@ -52,35 +50,6 @@ class FlatConfig {
     if (slot.seg_count == 0) return Action::ignore();
     return decode(actions_[slot.seg_begin + find_segment(slot, hash)]);
   }
-
-  /// Batch lookup: one bounds check and slot load for the whole span, then
-  /// the runtime-selected simd kernel (see flat_simd.h) over the packed
-  /// arrays.  `out.size()` must equal `hashes.size()`.
-  void lookup_batch(int class_id, nids::Direction direction,
-                    std::span<const std::uint32_t> hashes, std::span<Action> out) const;
-
-  /// As lookup_batch, but forced through one specific kernel backend — the
-  /// cross-check harnesses compare every backend against kScalar.
-  void lookup_batch_with(simd::Backend backend, int class_id, nids::Direction direction,
-                         std::span<const std::uint32_t> hashes, std::span<Action> out) const;
-
-  /// Raw-array view of the slot's segment table for the simd kernels.
-  /// Returns false when the slot has no table installed (all-ignore).
-  bool table_view(int class_id, nids::Direction direction,
-                  simd::SegmentTableView& out) const {
-    const std::uint64_t slot_key = slot_index(class_id, direction);
-    if (slot_key >= slots_.size()) return false;
-    const Slot& slot = slots_[static_cast<std::size_t>(slot_key)];
-    if (slot.seg_count == 0) return false;
-    out.bounds = bounds_.data() + slot.seg_begin;
-    out.actions = actions_.data() + slot.seg_begin;
-    out.buckets = buckets_.data() + slot.bucket_begin;
-    out.bucket_shift = slot.bucket_shift;
-    return true;
-  }
-
-  /// Decodes one packed action code produced by the simd kernels.
-  static Action decode_packed(std::int32_t packed) { return decode(packed); }
 
   bool empty() const { return slots_.empty(); }
   std::size_t num_slots() const { return slots_.size(); }

@@ -1,8 +1,6 @@
 // nwlb-lint: hot-path
 #include "shim/shim.h"
 
-#include "util/check.h"
-
 namespace nwlb::shim {
 
 namespace {
@@ -35,26 +33,6 @@ Decision Shim::decide_by_source(int class_id, std::uint32_t src_ip, ShimStats& s
   const Action action = flat_.lookup(class_id, nids::Direction::kForward, h);
   count_action(stats, action.kind);
   return Decision{action, h};
-}
-
-void Shim::decide_batch(int class_id, nids::Direction direction,
-                        std::span<const nids::FiveTuple> tuples, std::span<Decision> out,
-                        ShimStats& stats) const {
-  NWLB_CHECK_EQ(tuples.size(), out.size(), "Shim::decide_batch: size mismatch");
-  stats.packets_seen += tuples.size();
-  for (std::size_t i = 0; i < tuples.size(); ++i) {
-    const std::uint32_t h = hash_tuple(tuples[i], hash_seed_);
-    out[i] = Decision{flat_.lookup(class_id, direction, h), h};
-    count_action(stats, out[i].action.kind);
-  }
-}
-
-void Shim::decide_hashed_batch(int class_id, nids::Direction direction,
-                               std::span<const std::uint32_t> hashes, std::span<Action> out,
-                               ShimStats& stats) const {
-  stats.packets_seen += hashes.size();
-  flat_.lookup_batch(class_id, direction, hashes, out);
-  for (const Action& action : out) count_action(stats, action.kind);
 }
 
 Action Shim::decide_hashed_repeat(int class_id, nids::Direction direction, std::uint32_t hash,

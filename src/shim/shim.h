@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "nids/packet.h"
 #include "shim/config.h"
@@ -72,23 +71,11 @@ class Shim {
   /// Source-granularity decision (aggregatable analyses, e.g. Scan).
   Decision decide_by_source(int class_id, std::uint32_t src_ip, ShimStats& stats) const;
 
-  /// Batch decision over one class/direction: hashes each tuple and looks
-  /// up the flat table once per entry.  `out.size()` must match.
-  void decide_batch(int class_id, nids::Direction direction,
-                    std::span<const nids::FiveTuple> tuples, std::span<Decision> out,
-                    ShimStats& stats) const;
-
-  /// Batch decision over precomputed canonical-tuple hashes — the replay
-  /// loop hashes each packet once and reuses the hash at every on-path
-  /// node instead of rehashing per node.
-  void decide_hashed_batch(int class_id, nids::Direction direction,
-                           std::span<const std::uint32_t> hashes, std::span<Action> out,
-                           ShimStats& stats) const;
-
-  /// Run-length decision: every packet of a session direction shares the
-  /// same canonical-tuple hash, so the replay decides once and accounts
-  /// `count` packets arithmetically.  Exactly equivalent (stats and
-  /// verdict) to decide_hashed_batch over `count` copies of `hash`.
+  /// Run-length decision over a precomputed canonical-tuple hash: every
+  /// packet of a session direction shares one hash, so the replay probes
+  /// the flat table once and accounts `count` packets arithmetically.
+  /// Exactly equivalent (stats and verdict) to `count` decide() calls on a
+  /// tuple with this hash.
   Action decide_hashed_repeat(int class_id, nids::Direction direction, std::uint32_t hash,
                               std::uint64_t count, ShimStats& stats) const;
 

@@ -7,11 +7,11 @@
 // sequence gaps so operators can see replication loss.
 //
 // Two API shapes share one wire format and one accounting path:
-//   * owning (encapsulate -> vector, decapsulate -> Packet) for tests,
-//     tools, and the classic replay loop;
-//   * view-based (encapsulate_into a caller-provided slot,
-//     try_decapsulate_view -> PacketView into the frame) for the
-//     run-to-completion replay, which stages frames in SPSC ring slots and
+//   * owning (encapsulate -> vector, decapsulate -> Packet) for tests and
+//     tools;
+//   * view-based (encapsulate_into a caller-provided buffer,
+//     try_decapsulate_view -> PacketView into the frame) for the replay,
+//     which stamps every frame into one reusable per-shard buffer and
 //     never allocates per frame.
 #pragma once
 
@@ -56,8 +56,8 @@ class TunnelSender {
   /// Frames one packet: header + 5-tuple + direction + session id + payload.
   std::vector<std::byte> encapsulate(const nids::Packet& packet);
 
-  /// Frames one packet into caller-provided storage (an SPSC ring slot)
-  /// and returns the frame size.  `out` must hold at least
+  /// Frames one packet into caller-provided storage (the replay's reusable
+  /// frame buffer) and returns the frame size.  `out` must hold at least
   /// wire_size(packet.payload.size()) bytes.  Identical wire bytes and
   /// sequence/byte accounting to encapsulate().
   std::size_t encapsulate_into(const nids::PacketView& packet, std::span<std::byte> out);
@@ -89,8 +89,7 @@ class TunnelReceiver {
   std::optional<nids::Packet> try_decapsulate(std::span<const std::byte> frame);
 
   /// Allocation-free variant: the returned view's payload aliases `frame`,
-  /// which must stay alive (e.g. the ring slot not yet released) while the
-  /// view is used.  Same accounting as try_decapsulate.
+  /// which must stay alive (and unmodified) while the view is used.  Same accounting as try_decapsulate.
   std::optional<nids::PacketView> try_decapsulate_view(std::span<const std::byte> frame);
 
   std::uint64_t packets_received() const { return received_; }

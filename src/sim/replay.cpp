@@ -5,13 +5,12 @@
 #include <bit>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "shim/hash.h"
 #include "shim/tunnel.h"
-#include "util/arena.h"
-#include "util/spsc_ring.h"
 
 namespace nwlb::sim {
 
@@ -60,22 +59,16 @@ struct ReplaySimulator::Shard {
   // Reused per-direction scratch: one action per on-path node (every
   // packet of a direction shares one hash, hence one decision).
   std::vector<shim::Action> action_buf;
-  // Classic-mode frame scratch, reused across frames.
+  // Packet and frame scratch, sized once per window for its largest
+  // payload: every packet is built into payload_buf and every replicated
+  // frame is stamped into frame_buf, so no packet or frame allocates.
+  std::vector<char> payload_buf;
   std::vector<std::byte> frame_buf;
-
-  // Run-to-completion state: every byte below lives in the shard's arena
-  // and is dropped wholesale when the shard dies at the end of the epoch.
-  bool rtc = false;
-  std::size_t ring_frames = 0;   // Power of two.
-  std::size_t ring_slot_bytes = 0;
-  nwlb::util::Arena arena;
-  std::vector<nwlb::util::SpscFrameRing> rings;  // Per mirror, bound lazily.
-  std::span<char> payload_scratch;               // One max-size payload.
 
   Shard(const core::ProblemInput& input,
         const std::shared_ptr<const nids::SignatureEngine>& engine,
-        std::size_t num_generations, const ReplayOptions& options,
-        std::size_t max_payload_bytes, std::size_t expected_sessions) {
+        std::size_t num_generations, std::size_t max_payload_bytes,
+        std::size_t expected_sessions) {
     const int processing = input.num_processing_nodes();
     const int num_pops = input.num_pops();
     nodes.reserve(static_cast<std::size_t>(processing));
@@ -102,30 +95,14 @@ struct ReplaySimulator::Shard {
     gen_sessions.assign(num_generations, 0);
     class_sessions.assign(input.classes.size(), 0);
     class_bytes.assign(input.classes.size(), 0);
-    rtc = options.run_to_completion;
-    if (rtc) {
-      ring_frames = std::bit_ceil(std::max<std::size_t>(2, options.rtc_ring_frames));
-      ring_slot_bytes = shim::TunnelSender::wire_size(max_payload_bytes);
-      rings.resize(stride);  // Unbound until a frame heads that way.
-      payload_scratch = arena.make_array<char>(std::max<std::size_t>(max_payload_bytes, 1));
-    }
+    payload_buf.resize(max_payload_bytes);
+    frame_buf.resize(shim::TunnelSender::wire_size(max_payload_bytes));
   }
 
   shim::TunnelSender& sender_for(std::size_t local, std::size_t remote) {
     std::optional<shim::TunnelSender>& slot = senders[local * stride + remote];
     if (!slot) slot.emplace(static_cast<int>(local), static_cast<int>(remote));
     return *slot;
-  }
-
-  /// The SPSC ring staging frames toward `mirror`; binds arena storage on
-  /// the first frame of the epoch (cold path).
-  nwlb::util::SpscFrameRing& ring_for(std::size_t mirror) {
-    nwlb::util::SpscFrameRing& ring = rings[mirror];
-    if (ring.capacity() == 0)
-      ring = nwlb::util::SpscFrameRing(arena.make_array<std::byte>(ring_frames * ring_slot_bytes),
-                                       arena.make_array<std::uint32_t>(ring_frames),
-                                       ring_frames, ring_slot_bytes);
-    return ring;
   }
 };
 
@@ -312,19 +289,9 @@ void ReplaySimulator::replay_direction(Shard& shard, const std::vector<shim::Shi
   // payloads influence nothing — skip materializing them.
   if (!any_action) return;
 
-  const bool rtc = options_.run_to_completion;
   for (int k = 0; k < packets; ++k) {
-    // Classic mode materializes an owning Packet; run-to-completion fills
-    // the shard's arena scratch and processes through the view (identical
-    // bytes: make_packet delegates to packet_into).
-    nids::Packet owned;
-    nids::PacketView packet;
-    if (rtc) {
-      packet = generator.packet_into(session, k, direction, shard.payload_scratch);
-    } else {
-      owned = generator.make_packet(session, k, direction);
-      packet = nids::PacketView(owned);
-    }
+    const nids::PacketView packet =
+        generator.packet_into(session, k, direction, shard.payload_buf);
     for (std::size_t p = 0; p < path.size(); ++p) {
       const topo::NodeId j = path[p];
       const shim::Action action = shard.action_buf[p];
@@ -352,26 +319,12 @@ void ReplaySimulator::replay_direction(Shard& shard, const std::vector<shim::Shi
           const std::uint64_t frame_tag =
               (direction == nids::Direction::kReverse ? 1ULL << 63 : 0ULL) |
               (static_cast<std::uint64_t>(p) << 32) | static_cast<std::uint64_t>(k);
-          // Real tunnel framing: the frame is stamped (sequence numbers
-          // advance even for frames lost in transit — that is what makes
-          // the loss detectable) either straight into an SPSC ring slot
-          // (run-to-completion) or into the reusable frame scratch.
-          shim::TunnelSender& sender =
-              shard.sender_for(static_cast<std::size_t>(j), static_cast<std::size_t>(mirror));
-          std::size_t frame_bytes = 0;
-          if (rtc) {
-            nwlb::util::SpscFrameRing& ring =
-                shard.ring_for(static_cast<std::size_t>(mirror));
-            std::span<std::byte> slot = ring.try_push_slot();
-            if (slot.empty()) {  // Ring full: drain in place, then retry.
-              drain_ring(shard, static_cast<std::size_t>(mirror));
-              slot = ring.try_push_slot();
-            }
-            frame_bytes = sender.encapsulate_into(packet, slot);
-          } else {
-            shard.frame_buf.resize(shim::TunnelSender::wire_size(packet.payload.size()));
-            frame_bytes = sender.encapsulate_into(packet, shard.frame_buf);
-          }
+          // Real tunnel framing into the shard's frame scratch: the frame is
+          // stamped even if it is lost in transit (sequence numbers advance,
+          // which is what makes the loss detectable).
+          const std::size_t frame_bytes =
+              shard.sender_for(static_cast<std::size_t>(j), static_cast<std::size_t>(mirror))
+                  .encapsulate_into(packet, shard.frame_buf);
           ++shard.frames_sent;
           const auto bytes = static_cast<double>(frame_bytes);
           shard.shim_stats[static_cast<std::size_t>(j)].count_replicated(mirror,
@@ -414,40 +367,18 @@ void ReplaySimulator::replay_direction(Shard& shard, const std::vector<shim::Shi
               break;
             }
           }
-          // Delivered.  Run-to-completion publishes the staged slot (a lost
-          // frame simply never commits, so its slot is reused); the mirror
-          // consumes it at the drain point.  Classic decapsulates inline.
-          if (rtc) {
-            shard.rings[static_cast<std::size_t>(mirror)].commit(frame_bytes);
-          } else if (auto delivered =
-                         shard.receivers[static_cast<std::size_t>(mirror)]
-                             .try_decapsulate_view(std::span<const std::byte>(
-                                 shard.frame_buf.data(), frame_bytes))) {
+          // Delivered: the mirror decapsulates and processes it inline.
+          if (auto delivered = shard.receivers[static_cast<std::size_t>(mirror)]
+                                   .try_decapsulate_view(std::span<const std::byte>(
+                                       shard.frame_buf.data(), frame_bytes)))
             shard.matches +=
                 shard.nodes[static_cast<std::size_t>(mirror)].process(*delivered);
-          }
           break;
         }
         case shim::Action::Kind::kIgnore:
           break;
       }
     }
-  }
-  // Direction boundary: the natural run-to-completion batch point.  Stats
-  // are commutative and per-sender FIFO order is preserved, so deferring
-  // mirror-side processing here keeps the merged totals byte-identical.
-  if (rtc)
-    for (std::size_t m = 0; m < shard.rings.size(); ++m)
-      if (shard.rings[m].capacity() != 0) drain_ring(shard, m);
-}
-
-void ReplaySimulator::drain_ring(Shard& shard, std::size_t mirror) const {
-  nwlb::util::SpscFrameRing& ring = shard.rings[mirror];
-  for (std::span<const std::byte> frame = ring.front(); !frame.empty();
-       frame = ring.front()) {
-    if (auto delivered = shard.receivers[mirror].try_decapsulate_view(frame))
-      shard.matches += shard.nodes[mirror].process(*delivered);
-    ring.pop();
   }
 }
 
@@ -608,6 +539,27 @@ void ReplaySimulator::replay(std::span<const SessionSpec> sessions,
   // works on its own Shard), which -Wthread-safety proves.
   const nwlb::util::RoleGuard reconcile(reconcile_);
   const std::size_t total = sessions.size();
+  // Window pre-scan, before any state changes or shard starts: reject a
+  // session the shards would index or size buffers with out of bounds, and
+  // find the largest payload, which sizes every shard's packet and frame
+  // scratch.
+  std::size_t max_payload = 0;
+  for (std::size_t s = 0; s < total; ++s) {
+    const SessionSpec& session = sessions[s];
+    if (session.class_index < 0 ||
+        static_cast<std::size_t>(session.class_index) >= input_->classes.size())
+      // nwlb-lint: allow(no-throw-hot-path) -- window pre-scan, no shard running.
+      throw std::invalid_argument(
+          "ReplaySimulator::replay: session at position " + std::to_string(s) +
+          " has class_index " + std::to_string(session.class_index) +
+          " outside [0, " + std::to_string(input_->classes.size()) + ")");
+    if (session.payload_bytes < 0)
+      // nwlb-lint: allow(no-throw-hot-path) -- window pre-scan, no shard running.
+      throw std::invalid_argument("ReplaySimulator::replay: session at position " +
+                                  std::to_string(s) + " has negative payload_bytes " +
+                                  std::to_string(session.payload_bytes));
+    max_payload = std::max(max_payload, static_cast<std::size_t>(session.payload_bytes));
+  }
   const std::uint64_t base_index = next_index_;
   std::fill(window_mirror_sent_.begin(), window_mirror_sent_.end(), 0);
   std::fill(window_mirror_lost_.begin(), window_mirror_lost_.end(), 0);
@@ -616,18 +568,11 @@ void ReplaySimulator::replay(std::span<const SessionSpec> sessions,
   const std::size_t shard_count =
       std::max<std::size_t>(1, std::min<std::size_t>(static_cast<std::size_t>(workers_),
                                                      std::max<std::size_t>(total, 1)));
-  // Run-to-completion slot sizing: one pre-scan of the window bounds the
-  // ring slot to the largest frame the window can produce.
-  std::size_t max_payload = 0;
-  if (options_.run_to_completion)
-    for (const SessionSpec& s : sessions)
-      max_payload = std::max(max_payload,
-                             static_cast<std::size_t>(std::max(s.payload_bytes, 0)));
   const std::size_t expected_sessions = total / shard_count + 1;
   std::vector<Shard> shards;
   shards.reserve(shard_count);
   for (std::size_t w = 0; w < shard_count; ++w)
-    shards.emplace_back(*input_, engine_, generations_.size(), options_, max_payload,
+    shards.emplace_back(*input_, engine_, generations_.size(), max_payload,
                         expected_sessions);
 
   auto run_shard = [&](std::size_t w) {

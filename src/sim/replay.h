@@ -18,15 +18,13 @@
 // double (the cost model charges integral work units), so floating-point
 // merges are exact — ReplayStats is byte-identical for any worker count.
 //
-// Run-to-completion mode (ReplayOptions::run_to_completion): the raw-speed
-// variant of the sharded replay.  Each shard owns a bump arena for payload
-// scratch and ring storage, stamps replicated frames straight into
-// fixed-size per-mirror SPSC rings, and drains them at natural batch
-// boundaries (end of a session direction, or a full ring) — no per-packet
-// or per-frame heap allocation and zero shared atomics until the
-// end-of-epoch merge.  Because per-sender frame order is preserved and all
-// accumulators are commutative, its ReplayStats are byte-identical to the
-// classic mode.
+// One data-plane path (§7.2): per session direction, one hash and one
+// table probe per on-path shim decide the whole run; then per packet the
+// shard builds the payload into one reusable buffer, processes it locally,
+// or stamps a tunnel frame into one reusable frame buffer that the mirror
+// decapsulates and processes inline.  Both buffers are sized once per
+// replay() call from the window's largest payload, so no packet or frame
+// allocates, and shards share no atomics until the end-of-window merge.
 //
 // Failure injection: a FailureSchedule times node crashes, mirror
 // blackholes, and link outages in global-session-index space, so the set
@@ -93,19 +91,6 @@ struct ReplayOptions {
   /// 0 = one per hardware thread (capped).  Any value produces the same
   /// ReplayStats, byte for byte.
   int num_workers = 1;
-
-  /// Run-to-completion data-plane mode: each shard materializes packet
-  /// payloads into arena scratch (no per-packet heap traffic) and stages
-  /// replicated frames in fixed-size per-mirror SPSC rings, draining them
-  /// at the end of each session direction instead of decapsulating inline.
-  /// Per-sender frame order and every accumulated quantity are unchanged,
-  /// so ReplayStats stays byte-identical to the classic mode for any
-  /// worker count.
-  bool run_to_completion = false;
-  /// Ring capacity (frames per mirror ring) in run-to-completion mode,
-  /// rounded up to a power of two.  A full ring drains in place, so small
-  /// capacities are correct — just less batched.
-  std::size_t rtc_ring_frames = 256;
 
   /// Timed crash/blackhole/link events; must outlive the simulator.
   /// Null = no injected failures.
@@ -223,7 +208,10 @@ class ReplaySimulator {
   /// Stateful coverage is evaluated per call (a session's two directions
   /// must be replayed in the same call to count as covered).  One call is
   /// also one tunnel reconcile window: mirror health verdicts update at
-  /// the end of the call and apply from the next call on.
+  /// the end of the call and apply from the next call on.  Throws
+  /// std::invalid_argument, before replaying anything and with every
+  /// counter and the session cursor unchanged, if a session's class_index
+  /// is outside ProblemInput::classes or its payload_bytes is negative.
   void replay(std::span<const SessionSpec> sessions, const TraceGenerator& generator);
 
   ReplayStats stats() const;
@@ -294,9 +282,6 @@ class ReplaySimulator {
                         bool fail_open_admitted, const TraceGenerator& generator,
                         nids::Direction direction, int packets,
                         nwlb::util::Rng& loss_rng) const;
-  /// Run-to-completion drain point: decapsulates and processes every frame
-  /// staged in `mirror`'s ring (FIFO).
-  void drain_ring(Shard& shard, std::size_t mirror) const;
   void merge(Shard& shard) NWLB_REQUIRES(reconcile_);
   void mark_mirror_targets(const std::vector<shim::ShimConfig>& configs);
   void update_health(std::uint64_t window_last_index) NWLB_REQUIRES(reconcile_);

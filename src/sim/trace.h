@@ -66,9 +66,9 @@ class TraceGenerator {
   /// Same packet as make_packet(), materialized into caller-owned payload
   /// storage: the returned view's payload aliases `payload_buf`, which must
   /// hold at least session.payload_bytes bytes and stay alive while the
-  /// view is used.  The run-to-completion replay's allocation-free path;
-  /// make_packet() delegates here, so the bytes are identical by
-  /// construction.
+  /// view is used.  The replay builds every packet this way, into one
+  /// reusable buffer per shard; make_packet() delegates here, so the bytes
+  /// are identical by construction.
   nids::PacketView packet_into(const SessionSpec& session, int index,
                                nids::Direction direction,
                                std::span<char> payload_buf) const;

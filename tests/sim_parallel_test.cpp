@@ -4,8 +4,11 @@
 // the shards share no mutable state.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/mapper.h"
 #include "obs/export.h"
@@ -161,6 +164,66 @@ TEST(ParallelReplay, RejectsNegativeWorkerCount) {
   ReplayOptions opts;
   opts.num_workers = -2;
   EXPECT_THROW(ReplaySimulator(f.input, f.bundle, opts), std::invalid_argument);
+}
+
+/// Replays a good window, then a window whose session at position 37 is
+/// spoiled.  The bad window must be rejected whole: std::invalid_argument
+/// naming the position and `defect`, with the session cursor, the stats
+/// and the last window's class counters unchanged.
+void expect_window_rejected(const ParallelFixture& f, int workers,
+                            const std::function<void(SessionSpec&)>& spoil,
+                            const std::string& defect) {
+  ReplayOptions opts;
+  opts.num_workers = workers;
+  ReplaySimulator sim(f.input, f.bundle, opts);
+  TraceConfig tc;
+  TraceGenerator gen(f.input.classes, tc, 41);
+  sim.replay(gen.generate(100), gen);
+  const ReplayStats before = sim.stats();
+  const std::uint64_t cursor = sim.next_session_index();
+  const std::vector<std::uint64_t> class_sessions = sim.window_class_sessions();
+  std::vector<SessionSpec> window = gen.generate(50);
+  spoil(window[37]);
+  try {
+    sim.replay(window, gen);
+    ADD_FAILURE() << "window with " << defect << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("position 37"), std::string::npos) << what;
+    EXPECT_NE(what.find(defect), std::string::npos) << what;
+  }
+  EXPECT_EQ(sim.next_session_index(), cursor);
+  expect_identical(before, sim.stats());
+  EXPECT_EQ(sim.window_class_sessions(), class_sessions);
+}
+
+TEST(ParallelReplay, RejectsSessionWithClassIndexOutOfRange) {
+  ParallelFixture f;
+  const int num_classes = static_cast<int>(f.input.classes.size());
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE(workers);
+    expect_window_rejected(
+        f, workers, [](SessionSpec& s) { s.class_index = -1; }, "class_index -1");
+    expect_window_rejected(
+        f, workers, [&](SessionSpec& s) { s.class_index = num_classes; },
+        "class_index " + std::to_string(num_classes));
+    // A lone default-constructed session carries class_index -1.
+    ReplayOptions opts;
+    opts.num_workers = workers;
+    ReplaySimulator sim(f.input, f.bundle, opts);
+    TraceGenerator gen(f.input.classes, TraceConfig{}, 41);
+    EXPECT_THROW(sim.replay(std::vector<SessionSpec>(1), gen), std::invalid_argument);
+    EXPECT_EQ(sim.next_session_index(), 0u);
+  }
+}
+
+TEST(ParallelReplay, RejectsNegativePayloadBytes) {
+  ParallelFixture f;
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE(workers);
+    expect_window_rejected(
+        f, workers, [](SessionSpec& s) { s.payload_bytes = -1; }, "payload_bytes -1");
+  }
 }
 
 TEST(ParallelReplay, CumulativeAcrossCallsAndReset) {

@@ -45,8 +45,8 @@ constexpr std::array<BannedToken, 34> kBanned = {{
     {"malloc", "alloc"},
     {"calloc", "alloc"},
     {"realloc", "alloc"},
-    // One-time aligned buffers belong in the arena (or a setup path with a
-    // reviewed allow) — never per frame.
+    // One-time aligned buffers belong in setup code with a reviewed
+    // allow — never per frame.
     {"aligned_alloc", "alloc"},
     {"posix_memalign", "alloc"},
     {"mutex", "lock"},
