@@ -4,12 +4,22 @@
 #include <stdexcept>
 
 namespace nwlb::lp {
+namespace {
+
+/// Bounds may be infinite, but only outward: a lower bound of +inf or an
+/// upper bound of -inf leaves no finite value to rest at.
+bool bounds_ok(double lower, double upper) {
+  return !std::isnan(lower) && !std::isnan(upper) && lower != kInf && upper != -kInf &&
+         lower <= upper;
+}
+
+}  // namespace
 
 VarId Model::add_variable(double lower, double upper, double cost, std::string name) {
-  if (std::isnan(lower) || std::isnan(upper) || std::isnan(cost))
-    throw std::invalid_argument("Model::add_variable: NaN argument");
-  if (lower > upper)
-    throw std::invalid_argument("Model::add_variable: lower > upper for '" + name + "'");
+  if (!std::isfinite(cost))
+    throw std::invalid_argument("Model::add_variable: non-finite cost for '" + name + "'");
+  if (!bounds_ok(lower, upper))
+    throw std::invalid_argument("Model::add_variable: malformed bounds for '" + name + "'");
   var_lower_.push_back(lower);
   var_upper_.push_back(upper);
   var_cost_.push_back(cost);
@@ -18,7 +28,8 @@ VarId Model::add_variable(double lower, double upper, double cost, std::string n
 }
 
 RowId Model::add_row(Sense sense, double rhs, std::string name) {
-  if (std::isnan(rhs)) throw std::invalid_argument("Model::add_row: NaN rhs");
+  if (!std::isfinite(rhs))
+    throw std::invalid_argument("Model::add_row: non-finite rhs for '" + name + "'");
   row_sense_.push_back(sense);
   row_rhs_.push_back(rhs);
   row_name_.push_back(std::move(name));
@@ -36,20 +47,19 @@ void Model::add_coefficient(RowId row, VarId var, double coef) {
 }
 
 void Model::set_cost(VarId var, double cost) {
-  if (std::isnan(cost)) throw std::invalid_argument("Model::set_cost: NaN");
+  if (!std::isfinite(cost)) throw std::invalid_argument("Model::set_cost: non-finite cost");
   var_cost_[static_cast<std::size_t>(check_var(var))] = cost;
 }
 
 void Model::set_bounds(VarId var, double lower, double upper) {
-  if (std::isnan(lower) || std::isnan(upper) || lower > upper)
-    throw std::invalid_argument("Model::set_bounds: malformed bounds");
+  if (!bounds_ok(lower, upper)) throw std::invalid_argument("Model::set_bounds: malformed bounds");
   const auto j = static_cast<std::size_t>(check_var(var));
   var_lower_[j] = lower;
   var_upper_[j] = upper;
 }
 
 void Model::set_rhs(RowId row, double rhs) {
-  if (std::isnan(rhs)) throw std::invalid_argument("Model::set_rhs: NaN");
+  if (!std::isfinite(rhs)) throw std::invalid_argument("Model::set_rhs: non-finite rhs");
   row_rhs_[static_cast<std::size_t>(check_row(row))] = rhs;
 }
 

@@ -43,18 +43,22 @@ struct Entry {
 class Model {
  public:
   /// Adds a variable with bounds [lower, upper] and objective coefficient
-  /// `cost`. `name` is kept for diagnostics only.
+  /// `cost`. `name` is kept for diagnostics only.  Throws
+  /// std::invalid_argument on a non-finite cost, a NaN bound, lower > upper,
+  /// lower == +inf or upper == -inf; the other infinite bounds are allowed.
   VarId add_variable(double lower, double upper, double cost, std::string name = {});
 
   /// Adds an empty row `a'x (sense) rhs`; coefficients are attached with
   /// add_coefficient. Duplicate (row, var) pairs are summed on finalize.
+  /// Throws std::invalid_argument on a non-finite rhs.
   RowId add_row(Sense sense, double rhs, std::string name = {});
 
   /// Appends a coefficient to an existing row.
   void add_coefficient(RowId row, VarId var, double coef);
 
   /// In-place edits (used by the MPS reader, presolve, and re-optimization
-  /// flows that keep the model shape while moving data).
+  /// flows that keep the model shape while moving data).  They reject what
+  /// add_variable and add_row reject.
   void set_cost(VarId var, double cost);
   void set_bounds(VarId var, double lower, double upper);
   void set_rhs(RowId row, double rhs);

@@ -52,6 +52,18 @@ double parse_number(const std::string& token, int line_number) {
   return value;
 }
 
+/// Runs one edit of the model being read, rethrowing the
+/// std::invalid_argument the model may raise (a non-finite cost, rhs or
+/// coefficient, malformed bounds) with the MPS line that asked for it.
+template <typename Edit>
+void at_line(int line_number, const Edit& edit) {
+  try {
+    edit();
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("MPS line " + std::to_string(line_number) + ": " + e.what());
+  }
+}
+
 }  // namespace
 
 void write_mps(const Model& model, std::ostream& out, const std::string& name) {
@@ -126,15 +138,20 @@ Model read_mps(std::istream& in) {
   std::map<std::string, RowId> rows;
   std::map<std::string, VarId> vars;
   // Bound edits are applied at the end because MPS allows several BOUNDS
-  // lines per variable; stage them as (lo, hi) pairs.
-  std::map<int, std::pair<double, double>> bounds;
+  // lines per variable; stage them with the line of the last edit.
+  struct StagedBounds {
+    double lo = 0.0;
+    double hi = kInf;
+    int line = 0;
+  };
+  std::map<int, StagedBounds> bounds;
 
   auto variable = [&](const std::string& name) {
     const auto it = vars.find(name);
     if (it != vars.end()) return it->second;
     const VarId v = model.add_variable(0.0, kInf, 0.0, name);
     vars.emplace(name, v);
-    bounds[v.value] = {0.0, kInf};
+    bounds[v.value] = StagedBounds{};
     return v;
   };
 
@@ -191,15 +208,13 @@ Model read_mps(std::istream& in) {
           const double value = parse_number(tokens[k + 1], line_number);
           if (row_name == objective_row) {
             // Accumulate (duplicate objective entries are legal).
-            const double existing = model.cost(v);
-            // Model has no setter for cost; emulate by re-adding? Provide one.
-            model.set_cost(v, existing + value);
+            at_line(line_number, [&] { model.set_cost(v, model.cost(v) + value); });
           } else {
             const auto it = rows.find(row_name);
             if (it == rows.end())
               throw std::invalid_argument("MPS line " + std::to_string(line_number) +
                                           ": unknown row '" + row_name + "'");
-            model.add_coefficient(it->second, v, value);
+            at_line(line_number, [&] { model.add_coefficient(it->second, v, value); });
           }
         }
         break;
@@ -215,7 +230,8 @@ Model read_mps(std::istream& in) {
             throw std::invalid_argument("MPS line " + std::to_string(line_number) +
                                         ": unknown RHS row '" + tokens[k] + "'");
           }
-          model.set_rhs(it->second, parse_number(tokens[k + 1], line_number));
+          const double rhs = parse_number(tokens[k + 1], line_number);
+          at_line(line_number, [&] { model.set_rhs(it->second, rhs); });
         }
         break;
       }
@@ -234,18 +250,20 @@ Model read_mps(std::istream& in) {
           const RowId row = it->second;
           const double rhs = model.rhs(row);
           RowId twin{};
-          switch (model.sense(row)) {
-            case Sense::kLessEqual:
-              twin = model.add_row(Sense::kGreaterEqual, rhs - std::abs(range));
-              break;
-            case Sense::kGreaterEqual:
-              twin = model.add_row(Sense::kLessEqual, rhs + std::abs(range));
-              break;
-            case Sense::kEqual:
-              twin = model.add_row(range >= 0 ? Sense::kLessEqual : Sense::kGreaterEqual,
-                                   rhs + range);
-              break;
-          }
+          at_line(line_number, [&] {
+            switch (model.sense(row)) {
+              case Sense::kLessEqual:
+                twin = model.add_row(Sense::kGreaterEqual, rhs - std::abs(range));
+                break;
+              case Sense::kGreaterEqual:
+                twin = model.add_row(Sense::kLessEqual, rhs + std::abs(range));
+                break;
+              case Sense::kEqual:
+                twin = model.add_row(range >= 0 ? Sense::kLessEqual : Sense::kGreaterEqual,
+                                     rhs + range);
+                break;
+            }
+          });
           for (const Entry& e : model.row_entries(row))
             model.add_coefficient(twin, VarId{e.var}, e.coef);
         }
@@ -257,7 +275,8 @@ Model read_mps(std::istream& in) {
                                       ": BOUNDS entries need >= 3 fields");
         const std::string& type = tokens[0];
         const VarId v = variable(tokens[2]);
-        auto& [lo, hi] = bounds[v.value];
+        auto& [lo, hi, bound_line] = bounds[v.value];
+        bound_line = line_number;
         const bool needs_value = type == "LO" || type == "UP" || type == "FX";
         if (needs_value && tokens.size() != 4)
           throw std::invalid_argument("MPS line " + std::to_string(line_number) +
@@ -284,7 +303,8 @@ Model read_mps(std::istream& in) {
   if (section != Section::kDone)
     throw std::invalid_argument("MPS: missing ENDATA");
 
-  for (const auto& [var, b] : bounds) model.set_bounds(VarId{var}, b.first, b.second);
+  for (const auto& [var, b] : bounds)
+    at_line(b.line, [&] { model.set_bounds(VarId{var}, b.lo, b.hi); });
   model.normalize();
   return model;
 }

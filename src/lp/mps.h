@@ -22,7 +22,9 @@ void write_mps(const Model& model, std::ostream& out, const std::string& name = 
 std::string to_mps(const Model& model, const std::string& name = "NWLB");
 
 /// Parses free-form MPS into a Model (minimization).  Throws
-/// std::invalid_argument with a line-numbered message on malformed input.
+/// std::invalid_argument with a line-numbered message on malformed input,
+/// including any value lp::Model rejects (a non-finite cost, rhs or
+/// coefficient, a lower bound of +inf or an upper bound of -inf).
 Model read_mps(std::istream& in);
 
 Model read_mps_string(const std::string& text);

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "lp/basis.h"
 #include "util/check.h"
+#include "util/cpus.h"
+#include "util/fork_join.h"
 
 namespace nwlb::lp {
 namespace {
@@ -25,7 +28,23 @@ constexpr double kWeightResetLimit = 1e8;
 // orders differ by at most ~2k*eps relatively, far below this.
 constexpr double kGapSumSlack = 1e-6;
 
+// Column blocks (DESIGN.md §14).  A model with fewer nonzeros in [A | I]
+// than this walks its pivot rows and refreshes its duals on the caller's
+// thread alone: Geant and Enterprise (~12k) solved no faster in blocks,
+// TiNet (~41k) solved cold 21% faster in three.  Above it the solve uses
+// one block per CPU the process may run on, up to kMaxColumnBlocks: on a
+// 4-vCPU host, NTT's cold solve was slower in four blocks than in three.
+constexpr std::size_t kMinParallelNonzeros = 30'000;
+constexpr int kMaxColumnBlocks = 3;
+
 using Clock = std::chrono::steady_clock;
+
+/// The solver's own block count for a model with `nonzeros` entries in
+/// [A | I].
+int column_blocks(std::size_t nonzeros) {
+  if (nonzeros < kMinParallelNonzeros) return 1;
+  return std::clamp(util::usable_cpus(/*fallback=*/1), 1, kMaxColumnBlocks);
+}
 
 /// Adds the wall time of its scope to one KernelSeconds slot.  Scopes never
 /// nest, so the slots add up to the timed part of the solve.
@@ -43,7 +62,9 @@ class KernelTimer {
 
 class Simplex {
  public:
-  Simplex(const Model& model, const Options& opt) : model_(model), opt_(opt) {}
+  /// `blocks` > 0 forces the column-block count; 0 lets the solver choose.
+  Simplex(const Model& model, const Options& opt, int blocks)
+      : model_(model), opt_(opt), forced_blocks_(blocks) {}
 
   Solution solve(const Basis* warm) {
     const auto t0 = Clock::now();
@@ -97,12 +118,12 @@ class Simplex {
     num_cols_ = n + m;
 
     // Row-wise structural matrix, each row normalized on a scratch copy
-    // (the model itself, names and all, is never copied).  The
-    // steepest-edge update walks the pivot row (alpha_j = a_j' B^-T e_r)
-    // through it without touching every column, which is what keeps the
-    // per-iteration cost near the nonzeros of the rows the BTRAN image
-    // actually hits.
-    row_ptr_.assign(static_cast<std::size_t>(m) + 1, 0);
+    // (the model itself, names and all, is never copied) and so sorted by
+    // column.  The steepest-edge update walks the pivot row
+    // (alpha_j = a_j' B^-T e_r) through it without touching every column,
+    // which is what keeps the per-iteration cost near the nonzeros of the
+    // rows the BTRAN image actually hits.
+    std::vector<int> row_ptr(static_cast<std::size_t>(m) + 1, 0);
     row_col_.clear();
     row_val_.clear();
     row_col_.reserve(model_.num_nonzeros());
@@ -115,7 +136,7 @@ class Simplex {
         row_col_.push_back(e.var);
         row_val_.push_back(e.coef);
       }
-      row_ptr_[static_cast<std::size_t>(r) + 1] = static_cast<int>(row_col_.size());
+      row_ptr[static_cast<std::size_t>(r) + 1] = static_cast<int>(row_col_.size());
     }
 
     // Column counts then CSC fill from the row-wise arrays.
@@ -130,8 +151,8 @@ class Simplex {
     matrix_.value.assign(row_col_.size(), 0.0);
     std::vector<int> cursor(matrix_.col_ptr.begin(), matrix_.col_ptr.end() - 1);
     for (int r = 0; r < m; ++r) {
-      for (int q = row_ptr_[static_cast<std::size_t>(r)];
-           q < row_ptr_[static_cast<std::size_t>(r) + 1]; ++q) {
+      for (int q = row_ptr[static_cast<std::size_t>(r)];
+           q < row_ptr[static_cast<std::size_t>(r) + 1]; ++q) {
         const int p = cursor[static_cast<std::size_t>(row_col_[static_cast<std::size_t>(q)])]++;
         matrix_.row_idx[static_cast<std::size_t>(p)] = r;
         matrix_.value[static_cast<std::size_t>(p)] = row_val_[static_cast<std::size_t>(q)];
@@ -175,10 +196,15 @@ class Simplex {
       d_.assign(static_cast<std::size_t>(num_cols_), 0.0);
       ref_weight_.assign(static_cast<std::size_t>(num_cols_), 1.0);
       alpha_.assign(static_cast<std::size_t>(num_cols_), 0.0);
-      alpha_touched_.reserve(static_cast<std::size_t>(num_cols_));
       pivot_row_.assign(static_cast<std::size_t>(m), 0.0);
       in_candidates_.assign(static_cast<std::size_t>(num_cols_), 0);
       candidates_.reserve(static_cast<std::size_t>(num_cols_));
+      // Only the Devex walk and refresh run in column blocks.
+      num_blocks_ = forced_blocks_ > 0
+                        ? forced_blocks_
+                        : column_blocks(row_col_.size() + static_cast<std::size_t>(m));
+      split_blocks(row_ptr);
+      if (num_blocks_ > 1) team_ = std::make_unique<util::ForkJoinTeam>(num_blocks_);
     }
     if (opt_.priority_columns != nullptr && !opt_.priority_columns->empty()) {
       focus_.assign(static_cast<std::size_t>(num_cols_), 0);
@@ -191,6 +217,64 @@ class Simplex {
       // free to move when a focused class shifts load between nodes.
       for (int j = n; j < num_cols_; ++j) focus_[static_cast<std::size_t>(j)] = 1;
     }
+  }
+
+  /// Splits the columns (structural, then logical) into num_blocks_
+  /// contiguous ranges of about equal nonzeros in [A | I], and cuts every
+  /// row of the row-wise matrix at the range boundaries: block b's entries
+  /// of row r are [row_cut_[r*(P+1) + b], row_cut_[r*(P+1) + b + 1]).
+  void split_blocks(const std::vector<int>& row_ptr) {
+    const int m = matrix_.num_rows;
+    const auto blocks = static_cast<std::size_t>(num_blocks_);
+    const std::size_t total = row_col_.size() + static_cast<std::size_t>(m);
+    block_begin_.assign(blocks + 1, num_cols_);
+    block_begin_[0] = 0;
+    std::size_t b = 1;
+    std::size_t weight_before = 0;  // Nonzeros of the columns left of j.
+    for (int j = 0; j < num_cols_ && b < blocks; ++j) {
+      while (b < blocks && weight_before * blocks >= b * total) block_begin_[b++] = j;
+      const auto uj = static_cast<std::size_t>(j);
+      weight_before += matrix_.is_logical(j)
+                           ? 1
+                           : static_cast<std::size_t>(matrix_.col_ptr[uj + 1] - matrix_.col_ptr[uj]);
+    }
+    blocks_.assign(blocks, BlockScratch{});
+    for (std::size_t k = 0; k < blocks; ++k) {
+      const auto width = static_cast<std::size_t>(block_begin_[k + 1] - block_begin_[k]);
+      blocks_[k].touched.reserve(width);
+      blocks_[k].entered.reserve(width);
+    }
+
+    const std::size_t stride = blocks + 1;
+    row_cut_.assign(static_cast<std::size_t>(m) * stride, 0);
+    for (int r = 0; r < m; ++r) {
+      int* cut = &row_cut_[static_cast<std::size_t>(r) * stride];
+      cut[0] = row_ptr[static_cast<std::size_t>(r)];
+      cut[blocks] = row_ptr[static_cast<std::size_t>(r) + 1];
+      for (std::size_t k = 1; k < blocks; ++k)
+        cut[k] = static_cast<int>(std::lower_bound(row_col_.begin() + cut[k - 1],
+                                                   row_col_.begin() + cut[blocks],
+                                                   block_begin_[k]) -
+                                  row_col_.begin());
+    }
+  }
+
+  /// Runs fn(b) for every column block: inline for one block, else on the
+  /// team.  Blocks write only their own columns and BlockScratch.
+  template <typename Fn>
+  void for_each_block(const Fn& fn) {
+    if (team_ != nullptr) {
+      team_->run(fn);
+    } else {
+      fn(0);
+    }
+  }
+
+  /// Appends every block's newly eligible columns to the candidate set, in
+  /// block order.
+  void merge_entered() {
+    for (const BlockScratch& block : blocks_)
+      candidates_.insert(candidates_.end(), block.entered.begin(), block.entered.end());
   }
 
   // Places every column at a nonbasic resting point or into the basis.
@@ -411,12 +495,19 @@ class Simplex {
     }
     btran(y_);
     KernelTimer timer(kernels_.dual_refresh);
+    for_each_block([this, phase1](int b) {
+      BlockScratch& block = blocks_[static_cast<std::size_t>(b)];
+      block.entered.clear();
+      for (int j = block_begin_[static_cast<std::size_t>(b)];
+           j < block_begin_[static_cast<std::size_t>(b) + 1]; ++j) {
+        const std::size_t uj = static_cast<std::size_t>(j);
+        d_[uj] = stat_[uj] == VStat::kBasic ? 0.0 : column_cost(j, phase1) - matrix_.dot(j, y_);
+        reseat_candidate(uj, block.entered);
+      }
+    });
+    // Blocks are contiguous, so the merged set is in index order.
     candidates_.clear();
-    for (int j = 0; j < num_cols_; ++j) {
-      const std::size_t uj = static_cast<std::size_t>(j);
-      d_[uj] = stat_[uj] == VStat::kBasic ? 0.0 : column_cost(j, phase1) - matrix_.dot(j, y_);
-      reseat_candidate(uj);
-    }
+    merge_entered();
     duals_fresh_ = true;
   }
 
@@ -429,8 +520,8 @@ class Simplex {
   // walk) — except the entering column's hygiene writes, as it is already
   // a member; the pricing pass drops the members that went stale.  The
   // selection rules below do not depend on the order columns are visited
-  // in, so the pivots match a full scan's exactly, and optimality is only
-  // declared after one.
+  // in, so the pivots match a full scan's exactly — whatever order the
+  // column blocks append in — and optimality is only declared after one.
 
   /// How far a column at status `s` with reduced cost `dj` violates dual
   /// feasibility; 0 when it is basic or dual feasible.
@@ -445,16 +536,17 @@ class Simplex {
   }
   double dual_violation(std::size_t uj) const { return violation_of(stat_[uj], d_[uj]); }
 
-  /// Decides column j's membership from scratch (set rebuilds only).
-  void reseat_candidate(std::size_t uj) {
+  /// Decides column j's membership from scratch (set rebuilds only),
+  /// appending it to `members` when it is eligible.
+  void reseat_candidate(std::size_t uj, std::vector<int>& members) {
     const bool eligible = dual_violation(uj) > 0.0;
     in_candidates_[uj] = eligible ? 1 : 0;
-    if (eligible) candidates_.push_back(static_cast<int>(uj));
+    if (eligible) members.push_back(static_cast<int>(uj));
   }
 
   void rebuild_candidates() {
     candidates_.clear();
-    for (int j = 0; j < num_cols_; ++j) reseat_candidate(static_cast<std::size_t>(j));
+    for (int j = 0; j < num_cols_; ++j) reseat_candidate(static_cast<std::size_t>(j), candidates_);
   }
 
   /// Adds column j if its reduced cost or status just made it eligible.
@@ -546,14 +638,21 @@ class Simplex {
     return pr;
   }
 
+  /// The values every block of one pivot-row walk shares.
+  struct PivotStep {
+    int entering;
+    bool phase1;
+    double gamma_q;  // Devex weight of the entering column (>= 1).
+    double inv_aq;   // 1 / alpha_q.
+    double rho;      // d_q / alpha_q.
+  };
+
   /// Computes the pivot row alpha_j = a_j' (B^-T e_r) for the columns it
   /// touches, updates the Devex reference weights, and (phase 2) applies
   /// the rank-one reduced-cost update.  Must run before the basis exchange
   /// is recorded.  `w` is the FTRAN image of the entering column.
   void pivot_row_update(int entering, int leaving_pos, double d_enter, bool phase1,
                         const std::vector<double>& w) {
-    const int m = matrix_.num_rows;
-    const int n = matrix_.num_structural;
     {
       KernelTimer timer(kernels_.btran);
       std::fill(pivot_row_.begin(), pivot_row_.end(), 0.0);
@@ -562,50 +661,16 @@ class Simplex {
     }
 
     KernelTimer timer(kernels_.pivot_row);
-    alpha_touched_.clear();
-    for (int i = 0; i < m; ++i) {
-      const double vi = pivot_row_[static_cast<std::size_t>(i)];
-      if (std::abs(vi) <= kAlphaDrop) continue;
-      // Structural columns of row i.
-      for (int p = row_ptr_[static_cast<std::size_t>(i)];
-           p < row_ptr_[static_cast<std::size_t>(i) + 1]; ++p) {
-        const int j = row_col_[static_cast<std::size_t>(p)];
-        if (alpha_[static_cast<std::size_t>(j)] == 0.0) alpha_touched_.push_back(j);
-        alpha_[static_cast<std::size_t>(j)] += vi * row_val_[static_cast<std::size_t>(p)];
-      }
-      // The logical of row i is e_i: alpha is the BTRAN image itself.
-      const int logical = n + i;
-      if (alpha_[static_cast<std::size_t>(logical)] == 0.0)
-        alpha_touched_.push_back(logical);
-      alpha_[static_cast<std::size_t>(logical)] += vi;
-    }
-
     const double alpha_q = w[static_cast<std::size_t>(leaving_pos)];
     const double gamma_q =
         std::max(ref_weight_[static_cast<std::size_t>(entering)], 1.0);
     const double inv_aq = 1.0 / alpha_q;
     const double rho = d_enter * inv_aq;
     const int leaving_var = basic_[static_cast<std::size_t>(leaving_pos)];
+    const PivotStep step{entering, phase1, gamma_q, inv_aq, rho};
+    for_each_block([this, &step](int b) { walk_pivot_row(b, step); });
+    merge_entered();
 
-    for (const int j : alpha_touched_) {
-      const std::size_t uj = static_cast<std::size_t>(j);
-      const double aj = alpha_[uj];
-      alpha_[uj] = 0.0;  // Reset the workspace as we go.
-      const VStat s = stat_[uj];
-      if (j == entering || s == VStat::kBasic) continue;
-      const double ratio = aj * inv_aq;
-      const double candidate = ratio * ratio * gamma_q;
-      if (candidate > ref_weight_[uj]) ref_weight_[uj] = candidate;
-      if (phase1) continue;
-      // note_candidate, inlined on the values already at hand: this loop
-      // runs over ~14k columns per pivot on NTT.
-      const double dj = d_[uj] - rho * aj;
-      d_[uj] = dj;
-      if (in_candidates_[uj] == 0 && violation_of(s, dj) > 0.0) {
-        in_candidates_[uj] = 1;
-        candidates_.push_back(j);
-      }
-    }
     // The leaving variable becomes nonbasic with reduced cost -rho and the
     // entering one turns basic (zero by definition).
     ref_weight_[static_cast<std::size_t>(leaving_var)] =
@@ -618,6 +683,57 @@ class Simplex {
     // Phase 1 recomputes duals every iteration anyway (the composite cost
     // vector changes whenever a basic variable crosses a violated bound).
     if (phase1) duals_fresh_ = false;
+  }
+
+  /// Block b's share of pivot_row_update.  Each of its columns sums its
+  /// alpha_j over the pivot row's rows in ascending order, as a serial walk
+  /// does, so every block count yields the same bits.
+  void walk_pivot_row(int b, const PivotStep& step) {
+    const int m = matrix_.num_rows;
+    const int n = matrix_.num_structural;
+    const std::size_t ub = static_cast<std::size_t>(b);
+    const std::size_t stride = static_cast<std::size_t>(num_blocks_) + 1;
+    const int first = block_begin_[ub];
+    const int last = block_begin_[ub + 1];
+    BlockScratch& block = blocks_[ub];
+    block.touched.clear();
+    block.entered.clear();
+    for (int i = 0; i < m; ++i) {
+      const double vi = pivot_row_[static_cast<std::size_t>(i)];
+      if (std::abs(vi) <= kAlphaDrop) continue;
+      // The block's structural columns of row i.
+      const int* cut = &row_cut_[static_cast<std::size_t>(i) * stride + ub];
+      for (int p = cut[0]; p < cut[1]; ++p) {
+        const int j = row_col_[static_cast<std::size_t>(p)];
+        if (alpha_[static_cast<std::size_t>(j)] == 0.0) block.touched.push_back(j);
+        alpha_[static_cast<std::size_t>(j)] += vi * row_val_[static_cast<std::size_t>(p)];
+      }
+      // The logical of row i is e_i: alpha is the BTRAN image itself.
+      const int logical = n + i;
+      if (logical < first || logical >= last) continue;
+      if (alpha_[static_cast<std::size_t>(logical)] == 0.0) block.touched.push_back(logical);
+      alpha_[static_cast<std::size_t>(logical)] += vi;
+    }
+
+    for (const int j : block.touched) {
+      const std::size_t uj = static_cast<std::size_t>(j);
+      const double aj = alpha_[uj];
+      alpha_[uj] = 0.0;  // Reset the workspace as we go.
+      const VStat s = stat_[uj];
+      if (j == step.entering || s == VStat::kBasic) continue;
+      const double ratio = aj * step.inv_aq;
+      const double candidate = ratio * ratio * step.gamma_q;
+      if (candidate > ref_weight_[uj]) ref_weight_[uj] = candidate;
+      if (step.phase1) continue;
+      // note_candidate, inlined on the values already at hand: this loop
+      // runs over ~14k columns per pivot on NTT.
+      const double dj = d_[uj] - step.rho * aj;
+      d_[uj] = dj;
+      if (in_candidates_[uj] == 0 && violation_of(s, dj) > 0.0) {
+        in_candidates_[uj] = 1;
+        block.entered.push_back(j);
+      }
+    }
   }
 
   // ---- Main iteration loop ---------------------------------------------
@@ -1044,11 +1160,20 @@ class Simplex {
     return std::move(sol);
   }
 
+  /// One column block's lists, cache-line aligned so that blocks appending
+  /// on different threads never share a line.
+  struct alignas(64) BlockScratch {
+    std::vector<int> touched;  // Columns the pivot row hit, first touch first.
+    std::vector<int> entered;  // Columns that just turned eligible.
+  };
+
   const Model& model_;
   Options opt_;
+  int forced_blocks_ = 0;  // > 0: test-forced block count.
   AugmentedMatrix matrix_;
-  std::vector<int> row_ptr_, row_col_;  // Row-wise structural matrix.
+  std::vector<int> row_col_;  // Row-wise structural matrix, rows sorted by column.
   std::vector<double> row_val_;
+  std::vector<int> row_cut_;  // Per row, num_blocks_ + 1 offsets into row_col_.
   std::vector<double> lb_, ub_, cost_, rhs_, x_;
   std::vector<VStat> stat_;
   std::vector<int> basic_;
@@ -1067,7 +1192,6 @@ class Simplex {
   std::vector<double> d_;           // Maintained reduced costs.
   std::vector<double> ref_weight_;  // Devex reference weights (>= 1).
   std::vector<double> alpha_;       // Pivot-row workspace (num_cols_).
-  std::vector<int> alpha_touched_;
   std::vector<double> pivot_row_;   // BTRAN(e_r) workspace (m).
   std::vector<double> y_;           // Dual workspace (m).
   std::vector<int> candidates_;     // Superset of the dual-infeasible columns.
@@ -1075,18 +1199,23 @@ class Simplex {
   std::vector<char> focus_;         // Per-class delta re-solve column mask.
   bool focus_active_ = false;
   double certified_bound_ = 0.0;    // kGoodEnough objective lower bound.
+
+  // Column blocks of the pivot-row walk and the dual refresh.
+  int num_blocks_ = 1;
+  std::vector<int> block_begin_;      // Block b is [block_begin_[b], block_begin_[b+1]).
+  std::vector<BlockScratch> blocks_;
+  std::unique_ptr<util::ForkJoinTeam> team_;  // Only when num_blocks_ > 1.
 };
 
-}  // namespace
-
-Solution solve_revised(const Model& model, const Options& options, const Basis* warm) {
+Solution solve_with_blocks(const Model& model, const Options& options, const Basis* warm,
+                           int blocks) {
   NWLB_CHECK_GE(options.max_iterations, 0, "solve_revised: negative iteration limit");
   NWLB_CHECK_GE(options.max_seconds, 0.0, "solve_revised: negative time budget");
   NWLB_CHECK_GT(options.pivot_tol, 0.0, "solve_revised: nonpositive pivot tolerance");
   NWLB_CHECK_GE(options.objective_tolerance, 0.0,
                 "solve_revised: negative objective tolerance");
-  Simplex simplex(model, options);
-  Solution sol = simplex.solve(warm);
+  // The temporary Simplex, and with it the team, is gone before the check.
+  Solution sol = Simplex(model, options, blocks).solve(warm);
   if (sol.solved()) {
     // Post-solve sanity: any deployed point must satisfy the model, a
     // tolerance-certified one included.
@@ -1095,5 +1224,21 @@ Solution solve_revised(const Model& model, const Options& options, const Basis* 
   }
   return sol;
 }
+
+}  // namespace
+
+Solution solve_revised(const Model& model, const Options& options, const Basis* warm) {
+  return solve_with_blocks(model, options, warm, /*blocks=*/0);
+}
+
+namespace detail {
+
+Solution solve_revised_in_blocks(const Model& model, const Options& options, const Basis* warm,
+                                 int blocks) {
+  NWLB_CHECK_GE(blocks, 1, "solve_revised_in_blocks: need at least one block");
+  return solve_with_blocks(model, options, warm, blocks);
+}
+
+}  // namespace detail
 
 }  // namespace nwlb::lp

@@ -6,6 +6,12 @@
 // anti-cycling fallback, and warm starts from a previous Basis — the
 // feature the nwlb controller uses when re-optimizing every few minutes on
 // a new traffic matrix (§3, §8.2).
+//
+// On a model large enough to pay for it, the Devex pivot-row walk and the
+// dual refresh run in contiguous column blocks on a thread team that lives
+// for one solve (DESIGN.md §14).  The solver picks the block count from the
+// model size and the CPUs the process may run on; every block count makes
+// the same pivots and returns the same bits.
 #pragma once
 
 #include "lp/model.h"
@@ -24,5 +30,15 @@ inline Solution solve(const Model& model, const Options& options = {},
                       const Basis* warm = nullptr) {
   return solve_revised(model, options, warm);
 }
+
+namespace detail {
+
+/// solve_revised with the column-block count forced to `blocks` (>= 1)
+/// instead of the solver's own choice.  For the tests that prove the block
+/// count never changes a solve; nothing else should call it.
+Solution solve_revised_in_blocks(const Model& model, const Options& options, const Basis* warm,
+                                 int blocks);
+
+}  // namespace detail
 
 }  // namespace nwlb::lp

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/check.h"
+#include "util/cpus.h"
 
 namespace nwlb::util {
 
@@ -69,9 +70,7 @@ void ThreadPool::worker_loop() {
 }
 
 int ThreadPool::default_workers(int cap, int fallback) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int detected = hw == 0 ? fallback : static_cast<int>(hw);
-  return std::max(1, std::min(cap, detected));
+  return std::max(1, std::min(cap, usable_cpus(fallback)));
 }
 
 }  // namespace nwlb::util

@@ -38,8 +38,8 @@ class ThreadPool {
   /// the first exception any task escaped with (if any).
   void wait_idle() NWLB_EXCLUDES(mutex_);
 
-  /// A sensible worker count for this machine: hardware concurrency capped
-  /// at `cap` (hardware_concurrency() may return 0; then `fallback`).
+  /// A sensible worker count for this process: the CPUs it may run on
+  /// (util::usable_cpus, `fallback` when unknown) capped at `cap`.
   static int default_workers(int cap = 8, int fallback = 4);
 
  private:

@@ -86,5 +86,45 @@ TEST(Model, RejectsNonFiniteCoefficient) {
   EXPECT_THROW(m.add_coefficient(r, x, kInf), std::invalid_argument);
 }
 
+// A +-inf cost or rhs used to be accepted: the revised simplex then
+// reported "optimal" with a NaN objective while the dense oracle reported
+// a numerical failure.  Every edit path rejects it now, and leaves the
+// model as it was.
+TEST(Model, RejectsInfiniteCostsAndRhs) {
+  Model m;
+  EXPECT_THROW(m.add_variable(0, 1, kInf), std::invalid_argument);
+  EXPECT_THROW(m.add_variable(0, 1, -kInf), std::invalid_argument);
+  const VarId x = m.add_variable(0, 1, 1.0);
+  EXPECT_THROW(m.set_cost(x, kInf), std::invalid_argument);
+  EXPECT_THROW(m.set_cost(x, -kInf), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(m.cost(x), 1.0);
+
+  EXPECT_THROW(m.add_row(Sense::kLessEqual, kInf), std::invalid_argument);
+  EXPECT_THROW(m.add_row(Sense::kGreaterEqual, -kInf), std::invalid_argument);
+  const RowId r = m.add_row(Sense::kLessEqual, 2.0);
+  EXPECT_THROW(m.set_rhs(r, kInf), std::invalid_argument);
+  EXPECT_THROW(m.set_rhs(r, -kInf), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(m.rhs(r), 2.0);
+  EXPECT_EQ(m.num_variables(), 1);
+  EXPECT_EQ(m.num_rows(), 1);
+}
+
+// Infinite bounds stay legal outward (-inf below, +inf above); a lower
+// bound of +inf or an upper bound of -inf leaves nothing to rest at.
+TEST(Model, RejectsInwardInfiniteBounds) {
+  Model m;
+  EXPECT_THROW(m.add_variable(kInf, kInf, 0), std::invalid_argument);
+  EXPECT_THROW(m.add_variable(-kInf, -kInf, 0), std::invalid_argument);
+  const VarId v = m.add_variable(-kInf, kInf, 0);
+  EXPECT_THROW(m.set_bounds(v, kInf, kInf), std::invalid_argument);
+  EXPECT_THROW(m.set_bounds(v, -kInf, -kInf), std::invalid_argument);
+  EXPECT_EQ(m.lower(v), -kInf);
+  EXPECT_EQ(m.upper(v), kInf);
+  m.set_bounds(v, -kInf, 3.0);
+  EXPECT_DOUBLE_EQ(m.upper(v), 3.0);
+  m.set_bounds(v, 1.0, kInf);
+  EXPECT_DOUBLE_EQ(m.lower(v), 1.0);
+}
+
 }  // namespace
 }  // namespace nwlb::lp

@@ -82,6 +82,36 @@ TEST(Mps, RejectsMalformedInput) {
                std::invalid_argument);
 }
 
+/// Reading `text` must fail with a message that names `where`.
+void expect_rejected_at(const std::string& text, const std::string& where) {
+  try {
+    read_mps_string(text);
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(where), std::string::npos) << e.what();
+  }
+}
+
+// `inf` parses as a number, so these used to reach the model: the revised
+// simplex solved the first file to "optimal" with a NaN objective.  Each
+// is now rejected at the MPS line that carries it.
+TEST(Mps, RejectsInfiniteValuesNamingTheLine) {
+  const std::string head = "NAME X\nROWS\n N obj\n L c1\nCOLUMNS\n";
+  expect_rejected_at(head + "    x obj inf c1 1\nRHS\n    RHS1 c1 1\nENDATA\n", "MPS line 6");
+  expect_rejected_at(head + "    x obj 1 c1 1\nRHS\n    RHS1 c1 inf\nENDATA\n", "MPS line 8");
+  expect_rejected_at(head + "    x obj 1 c1 -inf\nENDATA\n", "MPS line 6");
+  expect_rejected_at(head + "    x obj 1 c1 1\nRANGES\n    RNG c1 inf\nENDATA\n", "MPS line 8");
+  expect_rejected_at(head + "    x obj 1 c1 1\nBOUNDS\n LO BND1 x inf\nENDATA\n", "MPS line 8");
+  expect_rejected_at(head + "    x obj 1 c1 1\nBOUNDS\n UP BND1 x -inf\nENDATA\n",
+                     "MPS line 8");
+  // Outward infinite bounds are still fine.
+  const Model m = read_mps_string(head +
+                                  "    x obj 1 c1 1\nBOUNDS\n LO BND1 x -inf\n"
+                                  " UP BND1 x inf\nENDATA\n");
+  EXPECT_EQ(m.lower(VarId{0}), -kInf);
+  EXPECT_EQ(m.upper(VarId{0}), kInf);
+}
+
 TEST(Mps, WriteContainsAllSections) {
   Model m;
   const VarId x = m.add_variable(0, 5, 2, "alpha");
