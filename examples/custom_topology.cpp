@@ -74,7 +74,7 @@ int main() {
   {
     std::ifstream mps("regional_isp.mps");
     const lp::Model reparsed = lp::read_mps(mps);
-    const lp::Solution check = lp::solve(reparsed);
+    const lp::Solution check = lp::solve_revised(reparsed);
     std::cout << "MPS round-trip: objective " << check.objective << " (original "
               << assignment.lp.objective << ")\n";
   }

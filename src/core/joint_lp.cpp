@@ -120,7 +120,7 @@ void JointLp::build() {
 }
 
 JointResult JointLp::solve(const lp::Options& lp_options, const lp::Basis* warm) const {
-  const lp::Solution solution = lp::solve(model_, lp_options, warm);
+  const lp::Solution solution = lp::solve_revised(model_, lp_options, warm);
   if (!solution.solved())
     throw std::runtime_error("JointLp::solve: solver returned " +
                              lp::to_string(solution.status));

@@ -168,7 +168,7 @@ std::vector<int> ReplicationLp::priority_columns_for(
 ReplicationLp::SolveResult ReplicationLp::try_solve(const lp::Options& lp_options,
                                                     const lp::Basis* warm) const {
   SolveResult result;
-  const lp::Solution solution = lp::solve(model_, lp_options, warm);
+  const lp::Solution solution = lp::solve_revised(model_, lp_options, warm);
   result.status = solution.status;
   if (!solution.solved()) {
     result.assignment.lp = solution;

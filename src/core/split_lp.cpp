@@ -152,7 +152,7 @@ void SplitTrafficLp::build() {
 }
 
 Assignment SplitTrafficLp::solve(const lp::Options& lp_options, const lp::Basis* warm) const {
-  const lp::Solution solution = lp::solve(model_, lp_options, warm);
+  const lp::Solution solution = lp::solve_revised(model_, lp_options, warm);
   if (!solution.solved())
     throw std::runtime_error("SplitTrafficLp::solve: solver returned " +
                              lp::to_string(solution.status));

@@ -41,7 +41,7 @@ class DenseTableau {
       sol.status = s1 == Status::kUnbounded ? Status::kNumericalFailure : s1;
       return finish(sol, t0);
     }
-    if (objective_row_value() > 1e2 * opt_.feasibility_tol) {
+    if (objective_row_value() > 1e2 * kFeasibilityTol) {
       sol.status = Status::kInfeasible;
       return finish(sol, t0);
     }
@@ -209,7 +209,7 @@ class DenseTableau {
       int entering = -1;
       for (int c = 0; c < num_cols_; ++c) {
         if (blocked_[static_cast<std::size_t>(c)]) continue;
-        if (reduced_cost(c) < -opt_.optimality_tol) {
+        if (reduced_cost(c) < -kOptimalityTol) {
           entering = c;
           break;
         }
@@ -222,7 +222,7 @@ class DenseTableau {
       for (int r = 0; r < num_rows_; ++r) {
         const double a =
             tableau_[static_cast<std::size_t>(r)][static_cast<std::size_t>(entering)];
-        if (a <= opt_.pivot_tol) continue;
+        if (a <= kPivotTol) continue;
         const double ratio =
             tableau_[static_cast<std::size_t>(r)][static_cast<std::size_t>(num_cols_)] / a;
         if (ratio < best_ratio - 1e-12 ||

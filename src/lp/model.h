@@ -56,8 +56,8 @@ class Model {
   /// Appends a coefficient to an existing row.
   void add_coefficient(RowId row, VarId var, double coef);
 
-  /// In-place edits (used by the MPS reader, presolve, and re-optimization
-  /// flows that keep the model shape while moving data).  They reject what
+  /// In-place edits (used by the MPS reader and by re-optimization flows
+  /// that keep the model shape while moving data).  They reject what
   /// add_variable and add_row reject.
   void set_cost(VarId var, double cost);
   void set_bounds(VarId var, double lower, double upper);

@@ -23,6 +23,8 @@ constexpr double kTiny = 1e-12;
 constexpr double kAlphaDrop = 1e-12;
 // Devex reference weights beyond this trigger a reference-framework reset.
 constexpr double kWeightResetLimit = 1e8;
+// Basis updates (eta-file entries) between refactorizations.
+constexpr int kRefactorInterval = 96;
 // Relative slack on the candidate pass's gap sum before the bounded-accuracy
 // test reads the full scan's.  Sums of the same k nonnegative terms in two
 // orders differ by at most ~2k*eps relatively, far below this.
@@ -87,9 +89,9 @@ class Simplex {
 
     // Phase 1: drive basic infeasibilities to zero.
     Status status = Status::kOptimal;
-    if (infeasibility() > opt_.feasibility_tol) {
+    if (infeasibility() > kFeasibilityTol) {
       status = loop(/*phase1=*/true, sol);
-      if (status == Status::kOptimal && infeasibility() > 1e2 * opt_.feasibility_tol) {
+      if (status == Status::kOptimal && infeasibility() > 1e2 * kFeasibilityTol) {
         sol.status = Status::kInfeasible;
         return finish(sol, t0);
       }
@@ -191,21 +193,17 @@ class Simplex {
     work_.assign(static_cast<std::size_t>(matrix_.num_rows), 0.0);
     entering_col_.assign(static_cast<std::size_t>(matrix_.num_rows), 0.0);
 
-    use_devex_ = opt_.pricing == Pricing::kSteepestEdge;
-    if (use_devex_) {
-      d_.assign(static_cast<std::size_t>(num_cols_), 0.0);
-      ref_weight_.assign(static_cast<std::size_t>(num_cols_), 1.0);
-      alpha_.assign(static_cast<std::size_t>(num_cols_), 0.0);
-      pivot_row_.assign(static_cast<std::size_t>(m), 0.0);
-      in_candidates_.assign(static_cast<std::size_t>(num_cols_), 0);
-      candidates_.reserve(static_cast<std::size_t>(num_cols_));
-      // Only the Devex walk and refresh run in column blocks.
-      num_blocks_ = forced_blocks_ > 0
-                        ? forced_blocks_
-                        : column_blocks(row_col_.size() + static_cast<std::size_t>(m));
-      split_blocks(row_ptr);
-      if (num_blocks_ > 1) team_ = std::make_unique<util::ForkJoinTeam>(num_blocks_);
-    }
+    d_.assign(static_cast<std::size_t>(num_cols_), 0.0);
+    ref_weight_.assign(static_cast<std::size_t>(num_cols_), 1.0);
+    alpha_.assign(static_cast<std::size_t>(num_cols_), 0.0);
+    pivot_row_.assign(static_cast<std::size_t>(m), 0.0);
+    in_candidates_.assign(static_cast<std::size_t>(num_cols_), 0);
+    candidates_.reserve(static_cast<std::size_t>(num_cols_));
+    num_blocks_ = forced_blocks_ > 0
+                      ? forced_blocks_
+                      : column_blocks(row_col_.size() + static_cast<std::size_t>(m));
+    split_blocks(row_ptr);
+    if (num_blocks_ > 1) team_ = std::make_unique<util::ForkJoinTeam>(num_blocks_);
     if (opt_.priority_columns != nullptr && !opt_.priority_columns->empty()) {
       focus_.assign(static_cast<std::size_t>(num_cols_), 0);
       for (const int j : *opt_.priority_columns) {
@@ -312,7 +310,7 @@ class Simplex {
   /// Cold-start crash: every equality row's logical is fixed at (0,0), so
   /// the all-logical basis starts phase 1 with one infeasibility per
   /// equality row — for the nwlb formulations that is one per traffic
-  /// class, and partial pricing took hundreds of thousands of degenerate
+  /// class, and phase 1 once took hundreds of thousands of degenerate
   /// pivots to clear them (the "TiNet blowup").  Instead, seat in each
   /// equality row a structural column whose only equality-row nonzero is
   /// that row: the chosen block is diagonal across equality rows, hence
@@ -393,7 +391,7 @@ class Simplex {
   bool refactorize() {
     {
       KernelTimer timer(kernels_.factorize);
-      auto result = factor_.factorize(matrix_, basic_, opt_.pivot_tol);
+      auto result = factor_.factorize(matrix_, basic_, kPivotTol);
       if (!result.ok) return false;
       for (std::size_t k = 0; k < result.defective_positions.size(); ++k) {
         // The factorization replaced a defective column by a logical; mirror
@@ -458,8 +456,8 @@ class Simplex {
   double basic_cost(int pos, bool phase1) const {
     const std::size_t j = static_cast<std::size_t>(basic_[static_cast<std::size_t>(pos)]);
     if (!phase1) return cost_[j];
-    if (x_[j] > ub_[j] + opt_.feasibility_tol) return 1.0;
-    if (x_[j] < lb_[j] - opt_.feasibility_tol) return -1.0;
+    if (x_[j] > ub_[j] + kFeasibilityTol) return 1.0;
+    if (x_[j] < lb_[j] - kFeasibilityTol) return -1.0;
     return 0.0;
   }
 
@@ -527,9 +525,9 @@ class Simplex {
   /// feasibility; 0 when it is basic or dual feasible.
   double violation_of(VStat s, double dj) const {
     switch (s) {
-      case VStat::kAtLower: return dj < -opt_.optimality_tol ? -dj : 0.0;
-      case VStat::kAtUpper: return dj > opt_.optimality_tol ? dj : 0.0;
-      case VStat::kFree: return std::abs(dj) > opt_.optimality_tol ? std::abs(dj) : 0.0;
+      case VStat::kAtLower: return dj < -kOptimalityTol ? -dj : 0.0;
+      case VStat::kAtUpper: return dj > kOptimalityTol ? dj : 0.0;
+      case VStat::kFree: return std::abs(dj) > kOptimalityTol ? std::abs(dj) : 0.0;
       case VStat::kBasic: break;
     }
     return 0.0;
@@ -737,11 +735,6 @@ class Simplex {
   }
 
   // ---- Main iteration loop ---------------------------------------------
-  Status loop(bool phase1, Solution& sol) {
-    if (use_devex_) return loop_devex(phase1, sol);
-    return loop_partial(phase1, sol);
-  }
-
   bool hit_iteration_limit(const Solution& sol) const {
     return sol.iterations + sol.phase1_iterations >= opt_.max_iterations;
   }
@@ -752,7 +745,10 @@ class Simplex {
            Clock::now() >= deadline_;
   }
 
-  Status loop_devex(bool phase1, Solution& sol) {
+  /// One phase of the simplex: Devex pricing over the candidate set,
+  /// FTRAN, ratio test, pivot-row walk, basis update; Bland's rule after
+  /// Options::stall_limit degenerate steps in a row.
+  Status loop(bool phase1, Solution& sol) {
     std::vector<double>& w = entering_col_;
     int& iter_counter = phase1 ? sol.phase1_iterations : sol.iterations;
     int stall = 0;
@@ -767,7 +763,7 @@ class Simplex {
     for (;;) {
       if (hit_iteration_limit(sol)) return Status::kIterationLimit;
       if (hit_deadline(sol)) return Status::kTimeLimit;
-      if (phase1 && infeasibility() <= opt_.feasibility_tol) return Status::kOptimal;
+      if (phase1 && infeasibility() <= kFeasibilityTol) return Status::kOptimal;
 
       if (!duals_fresh_ || bland) refresh_duals(phase1);
       PriceResult pr = price_candidates(bland);
@@ -891,99 +887,10 @@ class Simplex {
     bool appended = false;
     {
       KernelTimer timer(kernels_.update);
-      appended = factor_.update(pos, w, opt_.pivot_tol);
+      appended = factor_.update(pos, w, kPivotTol);
     }
-    if (appended && factor_.num_updates() < opt_.refactor_interval) return true;
+    if (appended && factor_.num_updates() < kRefactorInterval) return true;
     return refactorize();
-  }
-
-  /// Legacy rotating-window partial pricing, kept verbatim as the
-  /// reference implementation (Options::pricing == kPartialDantzig) for
-  /// the steepest-edge regression tests.
-  Status loop_partial(bool phase1, Solution& sol) {
-    const int m = matrix_.num_rows;
-    std::vector<double> y(static_cast<std::size_t>(m));
-    std::vector<double> w(static_cast<std::size_t>(m));
-    int& iter_counter = phase1 ? sol.phase1_iterations : sol.iterations;
-    int stall = 0;
-    bool bland = false;
-
-    for (;;) {
-      if (hit_iteration_limit(sol)) return Status::kIterationLimit;
-      // Wall-clock budget: checked every few iterations to keep the steady
-      // state cheap; exhaustion surfaces as a distinct, recoverable status.
-      if (hit_deadline(sol)) return Status::kTimeLimit;
-      if (phase1 && infeasibility() <= opt_.feasibility_tol) return Status::kOptimal;
-
-      // Duals for the current (possibly composite) basic cost vector.
-      for (int i = 0; i < m; ++i)
-        y[static_cast<std::size_t>(i)] = basic_cost(i, phase1);
-      btran(y);
-
-      const auto [entering, d_enter] = price_partial(y, phase1, bland);
-      if (entering < 0) return Status::kOptimal;
-      const int sigma = direction_of(entering, d_enter);
-      ftran_column(entering, w);
-
-      const RatioResult rr = ratio_test(entering, sigma, w, phase1, bland);
-      if (!rr.bounded) {
-        return phase1 ? Status::kNumericalFailure : Status::kUnbounded;
-      }
-      apply_step(entering, sigma, rr, w);
-      ++iter_counter;
-
-      if (rr.step < kTiny) {
-        if (++stall > opt_.stall_limit) bland = true;
-      } else {
-        stall = 0;
-      }
-
-      if (rr.leaving_pos >= 0 && !update_factor(rr.leaving_pos, w))
-        return Status::kNumericalFailure;
-      sol.refactorizations = refactor_count_;
-    }
-  }
-
-  // Partial pricing with a rotating cursor; in Bland mode a full scan
-  // returning the smallest-index eligible column.
-  std::pair<int, double> price_partial(const std::vector<double>& y, bool phase1,
-                                       bool bland) {
-    KernelTimer timer(kernels_.pricing);
-    int best = -1;
-    double best_score = 0.0;
-    double best_d = 0.0;
-    int inspected = 0;
-    const int start = bland ? 0 : cursor_;
-    for (int k = 0; k < num_cols_; ++k) {
-      const int j = (start + k) % num_cols_;
-      const VStat s = stat_[static_cast<std::size_t>(j)];
-      if (s == VStat::kBasic) continue;
-      const double cj = phase1 ? 0.0 : cost_[static_cast<std::size_t>(j)];
-      const double d = cj - matrix_.dot(j, y);
-      bool eligible = false;
-      if (s == VStat::kAtLower) {
-        eligible = d < -opt_.optimality_tol;
-      } else if (s == VStat::kAtUpper) {
-        eligible = d > opt_.optimality_tol;
-      } else {  // kFree
-        eligible = std::abs(d) > opt_.optimality_tol;
-      }
-      if (!eligible) continue;
-      if (bland) {
-        // Bland's rule: smallest index overall; the scan from 0 guarantees it.
-        cursor_ = (j + 1) % num_cols_;
-        return {j, d};
-      }
-      const double score = std::abs(d);
-      if (score > best_score) {
-        best_score = score;
-        best = j;
-        best_d = d;
-      }
-      if (++inspected >= opt_.pricing_block && best >= 0) break;
-    }
-    if (best >= 0) cursor_ = (best + 1) % num_cols_;
-    return {best, best_d};
   }
 
   static int direction_of(int, double d) { return d < 0.0 ? +1 : -1; }
@@ -1013,7 +920,7 @@ class Simplex {
     const int m = matrix_.num_rows;
     for (int i = 0; i < m; ++i) {
       const double wi = w[static_cast<std::size_t>(i)];
-      if (std::abs(wi) <= opt_.pivot_tol) continue;
+      if (std::abs(wi) <= kPivotTol) continue;
       const double delta = -static_cast<double>(sigma) * wi;  // d x_B[i] / d step
       const std::size_t j = static_cast<std::size_t>(basic_[static_cast<std::size_t>(i)]);
       const double xb = x_[j];
@@ -1022,8 +929,8 @@ class Simplex {
 
       double ratio = kInf;
       bool hits_upper = false;
-      const bool below = phase1 && xb < lo - opt_.feasibility_tol;
-      const bool above = phase1 && xb > hi + opt_.feasibility_tol;
+      const bool below = phase1 && xb < lo - kFeasibilityTol;
+      const bool above = phase1 && xb > hi + kFeasibilityTol;
       if (below) {
         if (delta > 0.0) {
           ratio = (lo - xb) / delta;  // Rises to its violated lower bound.
@@ -1127,15 +1034,11 @@ class Simplex {
       for (int j = 0; j < n; ++j)
         sol.x[static_cast<std::size_t>(j)] = x_[static_cast<std::size_t>(j)];
       sol.objective = model_.objective_value(sol.x);
-      if (opt_.compute_duals) {
-        y.resize(static_cast<std::size_t>(m));
-        for (int i = 0; i < m; ++i) y[static_cast<std::size_t>(i)] = basic_cost(i, false);
-      }
+      y.resize(static_cast<std::size_t>(m));
+      for (int i = 0; i < m; ++i) y[static_cast<std::size_t>(i)] = basic_cost(i, false);
     }
-    if (opt_.compute_duals) {
-      btran(y);
-      sol.duals = std::move(y);
-    }
+    btran(y);
+    sol.duals = std::move(y);
     KernelTimer timer(kernels_.update);
     sol.basis.basic = basic_;
     sol.basis.nonbasic_state.assign(static_cast<std::size_t>(num_cols_),
@@ -1183,11 +1086,9 @@ class Simplex {
   Clock::time_point deadline_{};  // Zero = no budget.
   KernelSeconds kernels_;
   int num_cols_ = 0;
-  int cursor_ = 0;
   int refactor_count_ = 0;
 
   // Steepest-edge state.
-  bool use_devex_ = true;
   bool duals_fresh_ = false;
   std::vector<double> d_;           // Maintained reduced costs.
   std::vector<double> ref_weight_;  // Devex reference weights (>= 1).
@@ -1211,7 +1112,6 @@ Solution solve_with_blocks(const Model& model, const Options& options, const Bas
                            int blocks) {
   NWLB_CHECK_GE(options.max_iterations, 0, "solve_revised: negative iteration limit");
   NWLB_CHECK_GE(options.max_seconds, 0.0, "solve_revised: negative time budget");
-  NWLB_CHECK_GT(options.pivot_tol, 0.0, "solve_revised: nonpositive pivot tolerance");
   NWLB_CHECK_GE(options.objective_tolerance, 0.0,
                 "solve_revised: negative objective tolerance");
   // The temporary Simplex, and with it the team, is gone before the check.

@@ -2,10 +2,10 @@
 //
 // Two phases (composite infeasibility minimization, then the true
 // objective), sparse LU basis factorization with PFI eta updates
-// (lp/basis.h), partial pricing with a rotating window, Bland's rule as an
-// anti-cycling fallback, and warm starts from a previous Basis — the
-// feature the nwlb controller uses when re-optimizing every few minutes on
-// a new traffic matrix (§3, §8.2).
+// (lp/basis.h), Devex reference-framework pricing over a maintained set of
+// candidate columns, Bland's rule as an anti-cycling fallback, and warm
+// starts from a previous Basis — the feature the nwlb controller uses when
+// re-optimizing every few minutes on a new traffic matrix (§3, §8.2).
 //
 // On a model large enough to pay for it, the Devex pivot-row walk and the
 // dual refresh run in contiguous column blocks on a thread team that lives
@@ -21,15 +21,10 @@ namespace nwlb::lp {
 
 /// Solves `model` (minimization).  When `warm` is non-null and structurally
 /// compatible (same variable and row counts) the solve starts from that
-/// basis; otherwise from the all-logical basis.
+/// basis; otherwise from the all-logical basis (plus the crash, when
+/// Options::crash is set).
 Solution solve_revised(const Model& model, const Options& options = {},
                        const Basis* warm = nullptr);
-
-/// Default entry point used throughout nwlb: the revised simplex.
-inline Solution solve(const Model& model, const Options& options = {},
-                      const Basis* warm = nullptr) {
-  return solve_revised(model, options, warm);
-}
 
 namespace detail {
 

@@ -103,34 +103,21 @@ struct Solution {
   double value(VarId v) const { return x.at(static_cast<std::size_t>(v.value)); }
 };
 
-/// Entering-variable selection rule of the revised simplex.
-enum class Pricing {
-  /// Devex reference-framework steepest-edge: incrementally maintained
-  /// column norms and reduced costs, full-eligibility scans.  The default;
-  /// the only mode that supports objective_tolerance early termination.
-  kSteepestEdge,
-  /// Legacy partial pricing with a rotating window (kept as the reference
-  /// implementation for regression tests; much higher iteration counts on
-  /// ISP-scale instances).
-  kPartialDantzig,
-};
+/// Tolerances both solvers read: the revised simplex and the dense oracle
+/// must agree on what counts as feasible, optimal and pivotable.
+inline constexpr double kFeasibilityTol = 1e-7;  // Bound/row violation tolerance.
+inline constexpr double kOptimalityTol = 1e-7;   // Reduced-cost tolerance.
+inline constexpr double kPivotTol = 1e-9;        // Minimum acceptable pivot magnitude.
 
-/// Solver tuning knobs. Defaults are sensible for the nwlb formulations.
+/// Solver budgets and the few switches a caller has reason to set.
+/// Defaults are sensible for the nwlb formulations.
 struct Options {
-  double feasibility_tol = 1e-7;   // Bound/row violation tolerance.
-  double optimality_tol = 1e-7;    // Reduced-cost tolerance.
-  double pivot_tol = 1e-9;         // Minimum acceptable pivot magnitude.
   int max_iterations = 2'000'000;  // Across both phases.
   double max_seconds = 0.0;        // Wall-clock budget; 0 = unlimited.  The
                                    // controller sets this so one slow epoch
                                    // degrades instead of stalling the loop.
                                    // Honored by both phases of both backends.
-  int refactor_interval = 96;      // Basis updates between refactorizations.
-  int pricing_block = 4096;        // Partial-pricing window (columns).
   int stall_limit = 2000;          // Degenerate steps before Bland's rule.
-  bool compute_duals = true;
-
-  Pricing pricing = Pricing::kSteepestEdge;
 
   /// Cold-start crash basis: seat, in each equality row, a structural
   /// column whose only equality-row nonzero is that row (diagonal across
@@ -139,7 +126,7 @@ struct Options {
   /// instances.  Ignored when a warm basis is supplied.
   bool crash = true;
 
-  /// Bounded-accuracy early termination (steepest-edge mode, phase 2).
+  /// Bounded-accuracy early termination (revised simplex, phase 2).
   /// When > 0, the solve stops with Status::kGoodEnough as soon as the
   /// remaining dual infeasibilities certify the objective within
   /// `objective_tolerance * max(1, |objective|)` of the optimum
