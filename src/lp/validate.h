@@ -19,7 +19,6 @@ namespace nwlb::lp {
 struct SolutionValidationOptions {
   double primal_tolerance = 1e-6;  // Max allowed constraint/bound violation.
   double dual_tolerance = 1e-5;    // Reduced-cost sign / duality-gap slack.
-  bool require_duals = false;      // Fail if duals are absent.
   bool check_basis = true;         // Verify the warm-start basis snapshot.
 };
 
@@ -34,10 +33,10 @@ struct SolutionValidationReport {
 };
 
 /// Certifies an optimal solution against its model via the KKT conditions:
-/// primal feasibility, stored-objective consistency, dual feasibility of
-/// reduced costs with complementary slackness, strong duality, and basis
-/// column consistency (basic indices in range and distinct, state arrays
-/// sized n+m).  kGoodEnough solutions get the same primal checks plus an
+/// primal feasibility, stored-objective consistency, one dual per row, dual
+/// feasibility of reduced costs with complementary slackness, strong
+/// duality, and basis column consistency (basic indices in range and
+/// distinct, state arrays sized n+m).  kGoodEnough solutions get the same primal checks plus an
 /// audit of the gap certificate (objective_bound must not exceed the
 /// Lagrangian bound recomputed from the duals) in place of strong duality.
 /// Other statuses only get structural checks.

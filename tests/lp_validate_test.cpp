@@ -133,14 +133,15 @@ TEST(LpValidate, RejectsCorruptedBasis) {
   EXPECT_TRUE(validate_solution(m, sol2, lax).ok());
 }
 
+// A solved status must carry one dual per row; missing duals are a
+// violation, not a reason to skip the dual checks.
 TEST(LpValidate, RequireDualsFlagsTheirAbsence) {
   const Model m = make_model();
   Solution sol = solve_revised(m);
+  ASSERT_TRUE(validate_solution(m, sol).ok());
   sol.duals.clear();
-  SolutionValidationOptions options;
-  EXPECT_TRUE(validate_solution(m, sol, options).ok());
-  options.require_duals = true;
-  EXPECT_TRUE(mentions(validate_solution(m, sol, options), "duals required"));
+  const SolutionValidationReport report = validate_solution(m, sol);
+  EXPECT_TRUE(mentions(report, "dual vector has size 0")) << report.to_string();
 }
 
 TEST(LpValidate, NonOptimalStatusesOnlyGetStructuralChecks) {
