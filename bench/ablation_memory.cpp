@@ -3,11 +3,12 @@
 // The formulations carry per-resource loads (Load_j^r for r in {CPU, MEM});
 // every headline experiment is CPU-bound, so this bench exercises the
 // memory dimension: exact scan detection keeps per-source destination
-// sets (large, traffic-dependent memory footprint) while the HyperLogLog
-// detector (nids/approx_scan.h) caps it at a fixed sketch per source,
-// cutting the per-session memory footprint ~4x.  With memory provisioned
-// below the exact detector's needs, the min-max optimum is memory-bound;
-// switching to sketches returns it to the CPU-bound optimum.
+// sets (large, traffic-dependent memory footprint), while a sketch
+// detector would cap it at a fixed sketch per source.  The bench models
+// that as a fixed 1/4 of the exact per-session memory footprint; no
+// sketch detector runs.  With memory provisioned below the exact
+// detector's needs, the min-max optimum is memory-bound; the modelled
+// sketch footprint returns it to the CPU-bound optimum.
 #include "bench_common.h"
 
 #include "core/replication_lp.h"

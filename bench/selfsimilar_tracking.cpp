@@ -110,14 +110,14 @@ int main() {
   const std::vector<double> hursts =
       fast ? std::vector<double>{0.5, 0.8, 0.9}
            : std::vector<double>{0.5, 0.65, 0.8, 0.9};
-  const std::vector<std::string> arms = {"ewma", "holt-winters", "var-ewma"};
+  const std::vector<std::string> arms = {"ewma", "var-ewma"};
   const topo::Topology topology = topo::topology_by_name("Internet2");
 
   bench::print_header(
       "Self-similar tracking: estimator arms vs the oracle under fGn bursts",
       "topology=" + topology.name + "  windows=" + std::to_string(windows) +
           " (warmup " + std::to_string(warmup) + ")  hurst={0.5..0.9}  arms=" +
-          "ewma|holt-winters|var-ewma  eval=refresh_metrics under true matrix");
+          "ewma|var-ewma  eval=refresh_metrics under true matrix");
 
   const auto tm = traffic::gravity_matrix(
       topology.graph, traffic::paper_total_sessions(topology.graph.num_nodes()));
@@ -129,7 +129,7 @@ int main() {
   defaults.window = 6;
   // Slow second-moment window: which classes are bursty changes slowly,
   // and a stable sigma-hat keeps var-ewma's churn at ewma's level.
-  defaults.trend_window = 20;
+  defaults.variance_window = 20;
   defaults.scale_to_total = tm.total();
 
   util::Table table(

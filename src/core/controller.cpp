@@ -15,6 +15,10 @@ namespace nwlb::core {
 
 namespace {
 
+/// After a failed re-solve (budget exhausted twice, or infeasible), skip
+/// the LP for this many epochs before trying again.
+constexpr int kResolveBackoffEpochs = 2;
+
 /// Epoch solve wall time, seconds.  The paper's budget is "every 5
 /// minutes"; the top bucket is well past any sane per-epoch solve.
 const std::vector<double>& solve_seconds_bounds() {
@@ -62,7 +66,7 @@ Controller::Controller(const topo::Topology& topology,
                        const traffic::TrafficMatrix& initial_tm,
                        Architecture architecture, ScenarioConfig config)
     : Controller(topology, initial_tm,
-                 ControllerOptions{architecture, config, false, {}, {}, 2}) {}
+                 ControllerOptions{architecture, config, false, {}, {}}) {}
 
 EpochResult Controller::run(const EpochRequest& request) {
   if (request.force_patch) return run_patch(request.failures);
@@ -207,7 +211,7 @@ EpochResult Controller::run_epoch(const EpochRequest& request) {
         delta_class_sessions_[c] = input.classes[c].sessions;
       delta_snapshot_clean_ = failures.empty();
     } else {
-      backoff_remaining_ = options_.resolve_backoff_epochs;
+      backoff_remaining_ = kResolveBackoffEpochs;
       // The snapshot no longer matches the basis the next warm start will
       // reuse; disable the delta restriction until a clean solve lands.
       delta_snapshot_clean_ = false;

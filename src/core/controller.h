@@ -53,10 +53,6 @@ struct ControllerOptions {
   /// pathological solve degrades the epoch instead of stalling the loop.
   lp::Options lp;
 
-  /// After a failed re-solve (budget exhausted twice, or infeasible), skip
-  /// the LP for this many epochs before trying again.
-  int resolve_backoff_epochs = 2;
-
   /// When set, every epoch and patch records nwlb_controller_* metrics and
   /// pushes one structured event into the registry's trace ring (see
   /// DESIGN.md §9).  Must outlive the controller.  Null = no telemetry.

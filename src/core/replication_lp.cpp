@@ -9,6 +9,15 @@
 
 namespace nwlb::core {
 
+namespace {
+
+// Objective cost per unit of uncovered class fraction when nodes are down.
+// Far above any achievable LoadCost, so coverage is sacrificed only when
+// the surviving topology truly cannot supply it.
+constexpr double kCoverageSlackPenalty = 32.0;
+
+}  // namespace
+
 ReplicationLp::ReplicationLp(const ProblemInput& input, ReplicationOptions options)
     : input_(&input), options_(options) {
   input.validate();
@@ -54,7 +63,7 @@ void ReplicationLp::build() {
       }
     }
     const lp::VarId slack = model_.add_variable(0.0, degraded ? 1.0 : 0.0,
-                                                options_.coverage_slack_penalty);
+                                                kCoverageSlackPenalty);
     model_.add_coefficient(coverage, slack, 1.0);
     slack_vars_.push_back(slack);
   }

@@ -29,10 +29,6 @@ struct ReplicationOptions {
   double knee = 0.8;
   double penalty_low = 0.05;
   double penalty_high = 0.5;
-  // Objective cost per unit of uncovered class fraction when nodes are
-  // down.  Far above any achievable LoadCost, so coverage is sacrificed
-  // only when the surviving topology truly cannot supply it.
-  double coverage_slack_penalty = 32.0;
 };
 
 class ReplicationLp {

@@ -7,6 +7,13 @@
 
 namespace nwlb::core {
 
+namespace {
+
+constexpr double kLinkHeadroom = 3.0;      // LinkCap = headroom x busiest link.
+constexpr double kDcAccessHeadroom = 3.0;  // DC uplink capacity, x a normal link.
+
+}  // namespace
+
 const char* to_string(Architecture a) {
   switch (a) {
     case Architecture::kIngress: return "Ingress";
@@ -43,7 +50,7 @@ Scenario::Scenario(const topo::Topology& topology, const traffic::TrafficMatrix&
   if (base_capacity_ <= 0.0) base_capacity_ = 1.0;
   dc_pop_ = place_datacenter(*routing_, tm, config_.placement);
   background_bytes_ = traffic::link_traffic(*routing_, tm, config_.bytes_per_session);
-  link_capacity_ = traffic::provision_link_capacities(background_bytes_, config_.link_headroom);
+  link_capacity_ = traffic::provision_link_capacities(background_bytes_, kLinkHeadroom);
 }
 
 void Scenario::set_traffic(const traffic::TrafficMatrix& tm) {
@@ -122,7 +129,7 @@ ProblemInput Scenario::problem(Architecture arch) const {
     in.capacities = nids::NodeCapacities(n + 1, base_capacity_);
     in.capacities.scale_node(n, config_.dc_factor);
     if (!link_capacity_.empty())
-      in.dc_access_capacity = config_.dc_access_headroom * link_capacity_.front();
+      in.dc_access_capacity = kDcAccessHeadroom * link_capacity_.front();
   } else {
     in.capacities = nids::NodeCapacities(n, base_capacity_);
     if (arch == Architecture::kPathAugmented) {

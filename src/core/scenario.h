@@ -47,8 +47,6 @@ struct ScenarioConfig {
   double dc_factor = 10.0;        // DC capacity, x single-NIDS capacity.
   DcPlacement placement = DcPlacement::kMostObserved;
   double bytes_per_session = traffic::kDefaultSessionBytes;
-  double link_headroom = 3.0;     // LinkCap = headroom x busiest link.
-  double dc_access_headroom = 3.0;  // DC uplink capacity, x a normal link.
 };
 
 /// Everything derived from one (topology, traffic matrix) pair.  Heavy

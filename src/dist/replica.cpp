@@ -8,6 +8,13 @@
 
 namespace nwlb::dist {
 
+namespace {
+
+/// Gossip peers contacted per replica per round.
+constexpr int kGossipFanout = 2;
+
+}  // namespace
+
 const char* to_string(Role role) {
   switch (role) {
     case Role::kFollower: return "follower";
@@ -34,7 +41,6 @@ Replica::Replica(int id, int num_replicas, const topo::Topology& topology,
              " out of range for ", num_replicas, " replicas");
   NWLB_CHECK_GE(options.lease_ticks, std::uint64_t{1},
                 "Replica: the lease must cover at least one tick");
-  NWLB_CHECK_GE(options.gossip_fanout, 0, "Replica: negative gossip fanout");
 }
 
 void Replica::begin_interval(std::uint64_t tick, EstimatePartial own) {
@@ -257,11 +263,11 @@ void Replica::broadcast_heartbeat(MessageBus& bus, std::uint64_t tick) {
 }
 
 void Replica::gossip(MessageBus& bus, std::uint64_t tick, int round) {
-  if (num_replicas_ == 1 || options_.gossip_fanout <= 0) return;
+  if (num_replicas_ == 1) return;
   std::vector<EstimatePartial> known;
   for (const auto& partial : heard_)
     if (partial) known.push_back(*partial);
-  for (int k = 0; k < options_.gossip_fanout; ++k) {
+  for (int k = 0; k < kGossipFanout; ++k) {
     // Stateless peer draw keyed on (seed, tick, id, round, k): identical
     // across reruns, different across rounds so coverage spreads.
     std::uint64_t s = util::derive_seed(options_.seed, 0x9055ULL);

@@ -55,9 +55,6 @@ struct ReplicaOptions {
   /// cluster re-elects — the failover time under a leader crash.
   std::uint64_t lease_ticks = 3;
 
-  /// Gossip peers contacted per replica per round.
-  int gossip_fanout = 2;
-
   /// Seed for the gossip peer-selection hash draws.
   std::uint64_t seed = 0xd157;
 

@@ -125,11 +125,9 @@ ReplicatedIntervalReport ReplicatedControlLoop::run_interval(
       report.estimate_total = tm.total();
       core::EpochRequest request;
       request.tm = &tm;
-      if (options_.report_mirror_failures) {
-        request.failures.down_nodes = sim_->down_mirrors();
-        report.failures_reported =
-            static_cast<int>(request.failures.down_nodes.size());
-      }
+      request.failures.down_nodes = sim_->down_mirrors();
+      report.failures_reported =
+          static_cast<int>(request.failures.down_nodes.size());
       report.epoch = lead.controller().run(request);
       report.epoch_run = true;
       if (phase != 1) {  // Phase 1: computed but died before installing.

@@ -60,10 +60,6 @@ struct ReplicatedLoopOptions {
   ReplicaOptions replica;
   online::RolloutOptions rollout;
 
-  /// Feed the data plane's mirror-health verdicts into each epoch request
-  /// (same knob as ControlLoopOptions).
-  bool report_mirror_failures = true;
-
   /// Consulted for controller_crash / partition events each interval
   /// (data-plane kinds stay the simulator's business).  Null = no faults.
   /// Must outlive the loop.

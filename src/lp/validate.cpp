@@ -11,6 +11,9 @@ namespace {
 
 std::size_t to_index(int i) { return static_cast<std::size_t>(i); }
 
+constexpr double kPrimalTolerance = 1e-6;  // Max constraint/bound violation.
+constexpr double kDualTolerance = 1e-5;    // Reduced-cost sign / duality-gap slack.
+
 }  // namespace
 
 std::string SolutionValidationReport::to_string() const {
@@ -70,15 +73,15 @@ SolutionValidationReport validate_solution(const Model& model, const Solution& s
 
   // Primal feasibility and stored-objective consistency.
   report.primal_residual = normalized.max_violation(solution.x);
-  if (report.primal_residual > options.primal_tolerance) {
+  if (report.primal_residual > kPrimalTolerance) {
     std::ostringstream os;
     os << "primal residual " << report.primal_residual << " exceeds tolerance "
-       << options.primal_tolerance;
+       << kPrimalTolerance;
     fail(os.str());
   }
   const double objective = normalized.objective_value(solution.x);
   const double objective_scale = std::max(1.0, std::abs(objective));
-  if (std::abs(objective - solution.objective) > options.dual_tolerance * objective_scale) {
+  if (std::abs(objective - solution.objective) > kDualTolerance * objective_scale) {
     std::ostringstream os;
     os << "stored objective " << solution.objective << " disagrees with c'x = " << objective;
     fail(os.str());
@@ -94,7 +97,7 @@ SolutionValidationReport validate_solution(const Model& model, const Solution& s
   // Dual feasibility of the row multipliers (convention: y <= 0 is *not*
   // used — a <= row demands y_i <= tol, a >= row y_i >= -tol; equality rows
   // are free; see tests/lp_kkt_test.cpp) plus complementary slackness.
-  const double dtol = options.dual_tolerance;
+  const double dtol = kDualTolerance;
   for (int r = 0; r < m; ++r) {
     const double y = solution.duals[to_index(r)];
     if (!std::isfinite(y)) {
@@ -182,8 +185,8 @@ SolutionValidationReport validate_solution(const Model& model, const Solution& s
     const double lo = normalized.lower(VarId{j});
     const double hi = normalized.upper(VarId{j});
     const double d = reduced[to_index(j)];
-    const bool at_lower = std::isfinite(lo) && std::abs(x - lo) < options.primal_tolerance * 10;
-    const bool at_upper = std::isfinite(hi) && std::abs(x - hi) < options.primal_tolerance * 10;
+    const bool at_lower = std::isfinite(lo) && std::abs(x - lo) < kPrimalTolerance * 10;
+    const bool at_upper = std::isfinite(hi) && std::abs(x - hi) < kPrimalTolerance * 10;
     double sign_violation = 0.0;
     if (at_lower && at_upper) {
       // Fixed variable: any reduced cost is dual feasible.

@@ -17,9 +17,7 @@
 namespace nwlb::lp {
 
 struct SolutionValidationOptions {
-  double primal_tolerance = 1e-6;  // Max allowed constraint/bound violation.
-  double dual_tolerance = 1e-5;    // Reduced-cost sign / duality-gap slack.
-  bool check_basis = true;         // Verify the warm-start basis snapshot.
+  bool check_basis = true;  // Verify the warm-start basis snapshot.
 };
 
 struct SolutionValidationReport {
@@ -39,7 +37,8 @@ struct SolutionValidationReport {
 /// distinct, state arrays sized n+m).  kGoodEnough solutions get the same primal checks plus an
 /// audit of the gap certificate (objective_bound must not exceed the
 /// Lagrangian bound recomputed from the duals) in place of strong duality.
-/// Other statuses only get structural checks.
+/// Other statuses only get structural checks.  Primal violations up to 1e-6
+/// and reduced-cost sign / duality-gap slack up to 1e-5 are tolerated.
 SolutionValidationReport validate_solution(const Model& model, const Solution& solution,
                                            const SolutionValidationOptions& options = {});
 

@@ -10,13 +10,12 @@ namespace nwlb::online {
 
 namespace {
 
-constexpr std::array<std::string_view, 3> kKinds = {"ewma", "holt-winters",
-                                                    "var-ewma"};
+constexpr std::array<std::string_view, 2> kKinds = {"ewma", "var-ewma"};
 
 constexpr std::string_view kGrammar =
     "estimator spec grammar: kind[:key=value[,key=value]...] with kind in "
-    "{ewma, holt-winters, var-ewma} and keys {window, trend-window, "
-    "headroom, cap, burst, floor, scale}";
+    "{ewma, var-ewma}; both take keys {window, floor, scale}, var-ewma also "
+    "{variance-window, headroom, cap, burst}";
 
 [[noreturn]] void reject(std::string_view spec, const std::string& why) {
   throw std::invalid_argument("estimator spec \"" + std::string(spec) + "\": " +
@@ -130,13 +129,6 @@ class WindowedEstimator : public Estimator {
     return tm;
   }
 
-  void reset() final {
-    intervals_ = 0;
-    std::fill(mean_sessions_.begin(), mean_sessions_.end(), 0.0);
-    std::fill(mean_bytes_.begin(), mean_bytes_.end(), 0.0);
-    reset_rates();
-  }
-
   double class_rate(std::size_t class_index) const final {
     if (class_index >= pairs_.size())
       throw std::out_of_range("Estimator: class index out of range");
@@ -165,8 +157,6 @@ class WindowedEstimator : public Estimator {
     (void)c;
     return 0.0;
   }
-  /// Clears subclass rate state on reset().
-  virtual void reset_rates() = 0;
 
   double mean_rate(std::size_t c) const { return mean_sessions_[c]; }
   bool first_window() const { return intervals_ == 0; }
@@ -195,44 +185,6 @@ class EwmaEstimator final : public WindowedEstimator {
   // The base's plain EWMA *is* the rate — nothing extra to track.
   void update(std::size_t, double, double) override {}
   double rate(std::size_t c) const override { return mean_rate(c); }
-  void reset_rates() override {}
-};
-
-// ---- holt-winters: level + trend, forecast = level + trend ----------------
-class HoltWintersEstimator final : public WindowedEstimator {
- public:
-  HoltWintersEstimator(const std::vector<traffic::TrafficClass>& classes,
-                       int num_pops, const EstimatorOptions& options)
-      : WindowedEstimator("holt-winters", classes, num_pops, options),
-        beta_(2.0 / (static_cast<double>(options.trend_window) + 1.0)),
-        level_(num_classes(), 0.0),
-        trend_(num_classes(), 0.0) {}
-
- protected:
-  void update(std::size_t c, double a, double sessions) override {
-    if (first_window()) {
-      level_[c] = sessions;
-      trend_[c] = 0.0;
-      return;
-    }
-    const double prev = level_[c];
-    level_[c] = a * sessions + (1.0 - a) * (prev + trend_[c]);
-    trend_[c] = beta_ * (level_[c] - prev) + (1.0 - beta_) * trend_[c];
-  }
-  // One-step forecast; a collapsing class's negative trend must not drive
-  // the rate below zero (the support floor re-floors it anyway).
-  double rate(std::size_t c) const override {
-    return std::max(0.0, level_[c] + trend_[c]);
-  }
-  void reset_rates() override {
-    std::fill(level_.begin(), level_.end(), 0.0);
-    std::fill(trend_.begin(), trend_.end(), 0.0);
-  }
-
- private:
-  double beta_;
-  std::vector<double> level_;
-  std::vector<double> trend_;
 };
 
 // ---- var-ewma: EWMA level + innovation variance -> burst response ---------
@@ -252,12 +204,11 @@ class VarEwmaEstimator final : public WindowedEstimator {
   VarEwmaEstimator(const std::vector<traffic::TrafficClass>& classes,
                    int num_pops, const EstimatorOptions& options)
       : WindowedEstimator("var-ewma", classes, num_pops, options),
-        // The second moment gets its own, slower smoothing constant
-        // (trend_window doubles as the variance window here): headroom is
-        // meant to track *which classes are bursty*, a slowly-changing
-        // property, and a jittery sigma-hat would translate straight into
-        // rollout churn.
-        var_alpha_(2.0 / (static_cast<double>(options.trend_window) + 1.0)),
+        // The second moment gets its own, slower smoothing constant:
+        // headroom is meant to track *which classes are bursty*, a
+        // slowly-changing property, and a jittery sigma-hat would
+        // translate straight into rollout churn.
+        var_alpha_(2.0 / (static_cast<double>(options.variance_window) + 1.0)),
         level_(num_classes(), 0.0),
         var_(num_classes(), 0.0),
         headroom_(num_classes(), 0.0) {}
@@ -300,11 +251,6 @@ class VarEwmaEstimator final : public WindowedEstimator {
   double headroom_fraction(std::size_t c) const override {
     return headroom_[c];
   }
-  void reset_rates() override {
-    std::fill(level_.begin(), level_.end(), 0.0);
-    std::fill(var_.begin(), var_.end(), 0.0);
-    std::fill(headroom_.begin(), headroom_.end(), 0.0);
-  }
 
  private:
   static constexpr double kHeadroomStep = 0.05;
@@ -328,10 +274,10 @@ void validate_estimator_options(const EstimatorOptions& options) {
     throw std::invalid_argument(
         "EstimatorOptions: support_floor must be in [0, 1), got " +
         std::to_string(options.support_floor));
-  if (options.trend_window < 1)
+  if (options.variance_window < 1)
     throw std::invalid_argument(
-        "EstimatorOptions: trend_window must be >= 1, got " +
-        std::to_string(options.trend_window));
+        "EstimatorOptions: variance_window must be >= 1, got " +
+        std::to_string(options.variance_window));
   if (!(options.headroom_sigmas >= 0.0) ||
       !std::isfinite(options.headroom_sigmas))
     throw std::invalid_argument(
@@ -343,10 +289,6 @@ void validate_estimator_options(const EstimatorOptions& options) {
     throw std::invalid_argument(
         "EstimatorOptions: burst_sigmas must be finite and >= 0 (0 disables "
         "the burst trigger)");
-}
-
-double Estimator::estimation_error(const traffic::TrafficMatrix& oracle) const {
-  return online::estimation_error(estimate(), oracle);
 }
 
 void Estimator::begin_partials() {
@@ -395,10 +337,14 @@ EstimatorSpec parse_estimator_spec(std::string_view spec,
       reject(spec, "expected key=value, got '" + std::string(pair) + "'");
     const std::string_view key = pair.substr(0, eq);
     const std::string_view value = pair.substr(eq + 1);
+    const bool var_ewma_key = key == "variance-window" || key == "headroom" ||
+                              key == "cap" || key == "burst";
+    if (var_ewma_key && kind != "var-ewma")
+      reject(spec, "key '" + std::string(key) + "' applies only to var-ewma");
     if (key == "window")
       parsed.options.window = parse_int(spec, key, value);
-    else if (key == "trend-window")
-      parsed.options.trend_window = parse_int(spec, key, value);
+    else if (key == "variance-window")
+      parsed.options.variance_window = parse_int(spec, key, value);
     else if (key == "headroom")
       parsed.options.headroom_sigmas = parse_number(spec, key, value);
     else if (key == "cap")
@@ -427,9 +373,6 @@ std::unique_ptr<Estimator> make_estimator(
   if (parsed.kind == "ewma")
     return std::make_unique<EwmaEstimator>("ewma", classes, num_pops,
                                            parsed.options);
-  if (parsed.kind == "holt-winters")
-    return std::make_unique<HoltWintersEstimator>(classes, num_pops,
-                                                  parsed.options);
   if (parsed.kind == "var-ewma")
     return std::make_unique<VarEwmaEstimator>(classes, num_pops, parsed.options);
   reject(spec, "unknown estimator kind '" + parsed.kind + "'");

@@ -12,17 +12,14 @@
 // nwlbctl all construct estimators through `make_estimator(spec)` where
 // `spec` is `kind[:key=value[,key=value]...]`.  Registered kinds:
 //
-//   * `ewma`         — one EWMA per class (alpha = 2/(window+1)).  The
+//   * `ewma`     — one EWMA per class (alpha = 2/(window+1)).  The
 //     paper-faithful near-stationary baseline.
-//   * `holt-winters` — double exponential smoothing (level + trend): the
-//     one-step forecast `level + trend` tracks ramps that a plain EWMA
-//     chronically lags.
-//   * `var-ewma`     — EWMA level plus an EWMA of the squared innovation;
+//   * `var-ewma` — EWMA level plus an EWMA of the squared innovation;
 //     each class's estimate is inflated by `headroom_sigmas·σ̂` (capped)
 //     so the LP provisions burst headroom where the traffic is actually
 //     bursty.  The burst-aware choice for self-similar traffic.
 //
-// All three correct warm-up bias with an effective smoothing weight
+// Both correct warm-up bias with an effective smoothing weight
 // `max(alpha, 1/(t+1))`: the first window seeds the state directly (no
 // bias toward the all-zero initial state), yet an anomalous first window
 // (a flash crowd at boot) is forgotten at least as fast as a running
@@ -70,10 +67,10 @@ struct EstimatorOptions {
   /// volume — keeps the LP model shape fixed (see file comment).
   double support_floor = 1e-3;
 
-  /// holt-winters: trend smoothing window (beta = 2/(trend_window+1)).
-  /// var-ewma reuses it as the (slower) innovation-variance window so
-  /// headroom tracks *which classes are bursty* without jittering.
-  int trend_window = 8;
+  /// var-ewma only: innovation-variance window (2/(variance_window+1)),
+  /// slower than `window` so headroom tracks *which classes are bursty*
+  /// without jittering.
+  int variance_window = 8;
 
   /// var-ewma only: headroom multiplier k — each class's estimate is
   /// inflated by k·σ̂ of its recent innovation (one-step forecast error).
@@ -120,10 +117,6 @@ class Estimator {
   /// after the first observe(); before that it is the flat floor matrix.
   virtual traffic::TrafficMatrix estimate() const = 0;
 
-  /// Forgets all observed state: intervals_observed() back to 0, the next
-  /// observe() re-seeds.  The construction-time shape is kept.
-  virtual void reset() = 0;
-
   /// Smoothed sessions-per-interval forecast for one class (headroom
   /// inflation excluded — this is the tracked level, not the provisioned
   /// volume).
@@ -136,10 +129,6 @@ class Estimator {
   /// The registered spec kind this estimator was built as ("ewma", ...).
   virtual std::string_view kind() const = 0;
   virtual const EstimatorOptions& options() const = 0;
-
-  /// Total-variation distance between estimate() and `oracle` after
-  /// normalizing both to unit mass (convenience for the free function).
-  double estimation_error(const traffic::TrafficMatrix& oracle) const;
 
   // --- Gossip partial hooks (estimator-agnostic; DESIGN.md §13) ---------
   //
@@ -181,9 +170,10 @@ struct EstimatorSpec {
 };
 
 /// Parses `kind[:key=value[,key=value]...]` on top of `defaults`.
-/// Keys: window, trend-window, headroom, cap, burst, floor, scale.  Throws
-/// std::invalid_argument citing estimator_spec_grammar() on an unknown
-/// kind, unknown key, malformed pair, or out-of-domain value.
+/// Keys for every kind: window, floor, scale; var-ewma also takes
+/// variance-window, headroom, cap, burst.  Throws std::invalid_argument
+/// citing estimator_spec_grammar() on an unknown kind, a key the kind does
+/// not take, a malformed pair, or an out-of-domain value.
 EstimatorSpec parse_estimator_spec(std::string_view spec,
                                    const EstimatorOptions& defaults = {});
 

@@ -66,10 +66,8 @@ IntervalReport ControlLoop::run_interval(std::span<const sim::SessionSpec> sessi
   request.tm = &tm;
   request.max_solve_seconds = options_.epoch_max_seconds;
   request.objective_tolerance = options_.epoch_objective_tolerance;
-  if (options_.report_mirror_failures) {
-    request.failures.down_nodes = sim_->down_mirrors();
-    report.failures_reported = static_cast<int>(request.failures.down_nodes.size());
-  }
+  request.failures.down_nodes = sim_->down_mirrors();
+  report.failures_reported = static_cast<int>(request.failures.down_nodes.size());
 
   // 4. Re-optimize (never throws on solver trouble; worst case is the
   // patched last known-good plan with typed degraded reasons).

@@ -5,8 +5,8 @@
 //
 //   1. the data plane replays the interval's sessions under the currently
 //      installed configuration generations;
-//   2. the estimator (any registered kind — ewma, holt-winters, var-ewma;
-//      see estimator.h) folds the data plane's per-class ingress counters
+//   2. the estimator (any registered kind — ewma or var-ewma; see
+//      estimator.h) folds the data plane's per-class ingress counters
 //      into a fresh TrafficMatrix (smoothed, scale-anchored);
 //   3. mirror health verdicts become the epoch's FailureSet — the same
 //      signal a real controller gets from its keepalive streams;
@@ -41,17 +41,12 @@ namespace nwlb::online {
 
 struct ControlLoopOptions {
   /// Estimator spec, `kind[:key=value,...]` — see online::make_estimator()
-  /// for the grammar and registered kinds (ewma, holt-winters, var-ewma).
+  /// for the grammar and registered kinds (ewma, var-ewma).
   std::string estimator = "ewma";
   /// Defaults the spec's key=value overrides are applied on top of (the
   /// programmatic knobs: window, scale anchor, floor, headroom).
   EstimatorOptions estimator_options;
   RolloutOptions rollout;
-
-  /// Feed the data plane's mirror-health verdicts into each epoch request
-  /// as the FailureSet (the live replacement for operator-supplied
-  /// failure reports).
-  bool report_mirror_failures = true;
 
   /// Per-interval epoch budget: when > 0 each epoch request overrides the
   /// controller's lp.max_seconds so one slow solve cannot eat the control

@@ -12,7 +12,7 @@ RolloutReport RolloutEngine::apply(sim::ReplaySimulator& sim,
   RolloutReport report;
   report.generation = next.generation;
   report.churn = shim::churn_between(current_, next);
-  if (options_.skip_identical && next.configs == current_.configs) {
+  if (next.configs == current_.configs) {
     // Same tables, new tag: the data plane keeps its compiled state.  The
     // current generation record adopts the tag so the next diff is still
     // against what is actually installed.

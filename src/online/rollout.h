@@ -29,10 +29,6 @@ struct RolloutOptions {
   /// 0 = activate for the very next session (still hitless — sessions are
   /// atomic — but with no coexistence window).
   std::uint64_t drain_sessions = 0;
-
-  /// Skip the data-plane install when the new bundle's configs are
-  /// structurally identical to the last installed ones.
-  bool skip_identical = true;
 };
 
 /// What one apply() did.

@@ -124,7 +124,7 @@ ReplaySimulator::ReplaySimulator(const core::ProblemInput& input,
     throw std::invalid_argument("ReplaySimulator: one config per PoP required");
 
   const auto processing = static_cast<std::size_t>(input.num_processing_nodes());
-  health_.assign(processing, shim::MirrorHealth(options.health));
+  health_.assign(processing, shim::MirrorHealth{});
   mirror_down_.assign(processing, 0);
   mirror_target_.assign(processing, 0);
   window_mirror_sent_.assign(processing, 0);

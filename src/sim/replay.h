@@ -102,9 +102,6 @@ struct ReplayOptions {
   /// that the shim absorbs locally (per-session stateless admission draw),
   /// modelling a cap on emergency local processing.
   double fail_open_headroom = 0.5;
-
-  /// Hysteresis knobs for the per-mirror tunnel health monitors.
-  shim::MirrorHealthOptions health;
 };
 
 struct ReplayStats {

@@ -9,6 +9,12 @@
 
 namespace nwlb::sim {
 
+namespace {
+
+constexpr double kPayloadParetoAlpha = 1.3;  // Per-packet payload size tail.
+
+}  // namespace
+
 TraceGenerator::TraceGenerator(const std::vector<traffic::TrafficClass>& classes,
                                TraceConfig config, std::uint64_t seed)
     : classes_(&classes),
@@ -67,7 +73,7 @@ std::vector<SessionSpec> TraceGenerator::generate_weighted(
     s.rev_packets = 1 + static_cast<int>(rng_.below(
                             static_cast<std::uint64_t>(config_.max_packets_per_direction)));
     s.payload_bytes = static_cast<int>(rng_.pareto(config_.min_payload,
-                                                   config_.payload_pareto_alpha,
+                                                   kPayloadParetoAlpha,
                                                    config_.max_payload));
     s.malicious = rng_.bernoulli(config_.malicious_fraction);
     out.push_back(s);

@@ -36,7 +36,6 @@ struct TraceConfig {
   int scan_fanout = 40;              // Distinct destinations per scanner.
   int min_payload = 64;
   int max_payload = 1400;
-  double payload_pareto_alpha = 1.3;
   int max_packets_per_direction = 12;
 };
 

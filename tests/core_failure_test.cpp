@@ -187,7 +187,6 @@ TEST(Controller, BudgetExhaustionNeverAbortsAnEpoch) {
   ControllerOptions copts;
   copts.architecture = Architecture::kPathReplicate;
   copts.lp.max_iterations = 1;  // Guaranteed exhaustion on this model.
-  copts.resolve_backoff_epochs = 2;
   Controller controller(f.topology, f.tm, copts);
 
   EpochResult result;

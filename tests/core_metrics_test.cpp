@@ -55,7 +55,6 @@ TEST(ControllerMetrics, BudgetExhaustionCountsDegradedAndBackoff) {
   MetricsFixture f;
   ControllerOptions opts = f.options();
   opts.lp.max_iterations = 1;  // Guaranteed budget exhaustion.
-  opts.resolve_backoff_epochs = 2;
   Controller controller(f.topology, f.tm, opts);
   controller.run({.tm = &f.tm});  // Fails, enters backoff.
   controller.run({.tm = &f.tm});  // Served during backoff.

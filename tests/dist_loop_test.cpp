@@ -274,6 +274,40 @@ TEST(ReplicatedLoop, ConservesEverySessionAcrossFailover) {
   EXPECT_EQ(rollout.sessions_unassigned, 0u);
 }
 
+TEST(ReplicatedLoop, SustainedMirrorBlackholeReachesTheEpoch) {
+  DistFixture f;
+  // The datacenter mirror drops every tunnelled frame and fails its
+  // keepalive for the first three intervals.
+  constexpr int kPerInterval = 1000;
+  const int dc = f.input.datacenter_id();
+  ASSERT_GT(f.initial.assignment.datacenter_load(f.input), 0.0);
+  sim::FailureSchedule hole;
+  sim::FailureEvent event;
+  event.kind = sim::FailureKind::kMirrorBlackhole;
+  event.target = dc;
+  event.begin = 0;
+  event.end = 3 * kPerInterval;
+  hole.add(event);
+  sim::ReplaySimulator sim = f.make_simulator(&hole);
+  ReplicatedControlLoop loop(f.topology, f.tm, DistFixture::controller_options(),
+                             sim, f.initial.bundle, f.loop_options(nullptr));
+  sim::TraceGenerator gen = DistFixture::make_generator(f.input);
+
+  // One bad window stays below the down_after = 2 hysteresis.
+  const ReplicatedIntervalReport first =
+      loop.run_interval(gen.generate(kPerInterval), gen);
+  EXPECT_EQ(first.failures_reported, 0);
+  loop.run_interval(gen.generate(kPerInterval), gen);
+  const ReplicatedIntervalReport third =
+      loop.run_interval(gen.generate(kPerInterval), gen);
+  // By the third interval the leader's epoch carries the verdict, and the
+  // plan routes nothing to the dead datacenter.
+  EXPECT_EQ(sim.down_mirrors(), std::vector<int>{dc});
+  ASSERT_TRUE(third.epoch_run);
+  EXPECT_EQ(third.failures_reported, 1);
+  EXPECT_EQ(third.epoch.assignment.datacenter_load(f.input), 0.0);
+}
+
 TEST(ReplicatedLoop, SingleReplicaDegeneratesToOneController) {
   DistFixture f;
   sim::ReplaySimulator sim = f.make_simulator(nullptr);

@@ -1,9 +1,9 @@
 // The pluggable Estimator API (DESIGN.md §15): the spec factory is the
 // only construction path, so these tests drive every registered kind
 // through make_estimator() — EWMA convergence and warm-up correction,
-// Holt–Winters ramp tracking, var-ewma's quantized burst headroom and
-// optional burst-onset snap, the class-support floor, scale anchoring,
-// the gossip partial hooks, and the estimator-error metric.
+// var-ewma's quantized burst headroom and optional burst-onset snap, the
+// class-support floor, scale anchoring, the gossip partial hooks, and the
+// estimator-error metric.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -62,7 +62,7 @@ struct EstimatorFixture {
 
 TEST(EstimatorFactory, BuildsEveryRegisteredKind) {
   EstimatorFixture f;
-  ASSERT_EQ(estimator_kinds().size(), 3u);
+  ASSERT_EQ(estimator_kinds().size(), 2u);
   for (std::string_view kind : estimator_kinds()) {
     const std::unique_ptr<Estimator> est = f.make(kind);
     ASSERT_NE(est, nullptr) << kind;
@@ -77,14 +77,14 @@ TEST(EstimatorFactory, SpecOverridesApplyOnTopOfDefaults) {
   defaults.window = 9;
   defaults.scale_to_total = 123.0;
   const EstimatorSpec parsed = parse_estimator_spec(
-      "var-ewma:headroom=0.5,cap=0.1,burst=3,trend-window=12", defaults);
+      "var-ewma:headroom=0.5,cap=0.1,burst=3,variance-window=12", defaults);
   EXPECT_EQ(parsed.kind, "var-ewma");
   EXPECT_EQ(parsed.options.window, 9);               // Default survives.
   EXPECT_DOUBLE_EQ(parsed.options.scale_to_total, 123.0);
   EXPECT_DOUBLE_EQ(parsed.options.headroom_sigmas, 0.5);
   EXPECT_DOUBLE_EQ(parsed.options.headroom_cap, 0.1);
   EXPECT_DOUBLE_EQ(parsed.options.burst_sigmas, 3.0);
-  EXPECT_EQ(parsed.options.trend_window, 12);
+  EXPECT_EQ(parsed.options.variance_window, 12);
 }
 
 TEST(EstimatorFactory, RejectionsCiteTheGrammar) {
@@ -112,6 +112,12 @@ TEST(EstimatorFactory, RejectionsCiteTheGrammar) {
   expect_reject("var-ewma:burst=-1");        // Out of domain.
   expect_reject("var-ewma:headroom=-0.1");   // Out of domain.
   expect_reject("ewma:floor=1.5");           // Out of domain.
+  // var-ewma's keys change nothing under ewma, so ewma rejects them.
+  expect_reject("ewma:headroom=2");
+  expect_reject("ewma:cap=0.5");
+  expect_reject("ewma:burst=3");
+  expect_reject("ewma:variance-window=12");
+  expect_reject("var-ewma:trend-window=12");  // Unknown key.
 }
 
 TEST(EstimatorFactory, ValidatesOptionDomains) {
@@ -121,9 +127,9 @@ TEST(EstimatorFactory, ValidatesOptionDomains) {
   EstimatorOptions bad_floor;
   bad_floor.support_floor = 1.0;
   EXPECT_THROW(validate_estimator_options(bad_floor), std::invalid_argument);
-  EstimatorOptions bad_trend;
-  bad_trend.trend_window = 0;
-  EXPECT_THROW(validate_estimator_options(bad_trend), std::invalid_argument);
+  EstimatorOptions bad_variance;
+  bad_variance.variance_window = 0;
+  EXPECT_THROW(validate_estimator_options(bad_variance), std::invalid_argument);
   EstimatorOptions bad_burst;
   bad_burst.burst_sigmas = -0.5;
   EXPECT_THROW(validate_estimator_options(bad_burst), std::invalid_argument);
@@ -256,62 +262,6 @@ TEST(Estimator, BytesPerSessionTracksTheFeed) {
               0.01 * cls.bytes_per_session);
 }
 
-TEST(Estimator, ResetForgetsEverything) {
-  EstimatorFixture f;
-  for (std::string_view kind : estimator_kinds()) {
-    const std::unique_ptr<Estimator> est = f.make(kind);
-    for (int i = 0; i < 4; ++i)
-      est->observe(f.window_sessions(), f.window_bytes());
-    est->reset();
-    EXPECT_EQ(est->intervals_observed(), 0) << kind;
-    EXPECT_DOUBLE_EQ(est->class_rate(0), 0.0) << kind;
-    // The next observe() re-seeds exactly like a fresh first window.
-    const auto sessions = f.window_sessions(2e-3);
-    est->observe(sessions, f.window_bytes(2e-3));
-    EXPECT_DOUBLE_EQ(est->class_rate(0), static_cast<double>(sessions[0]))
-        << kind;
-  }
-}
-
-// ---- Holt–Winters: level + trend ------------------------------------------
-
-TEST(HoltWinters, TracksARampCloserThanEwma) {
-  EstimatorFixture f;
-  EstimatorOptions opts;
-  opts.window = 4;
-  opts.trend_window = 4;
-  const std::unique_ptr<Estimator> hw = f.make("holt-winters", opts);
-  const std::unique_ptr<Estimator> ewma = f.make("ewma", opts);
-  // A steady linear ramp: +20% of the base per window.
-  for (int t = 0; t < 10; ++t) {
-    const double scale = (1.0 + 0.2 * t) * 1e-3;
-    hw->observe(f.window_sessions(scale), f.window_bytes(scale));
-    ewma->observe(f.window_sessions(scale), f.window_bytes(scale));
-  }
-  const double next = static_cast<double>(f.window_sessions(3.0e-3)[0]);
-  // The one-step forecast level + trend lands closer to the next ramp
-  // value than the chronically-lagging EWMA level.
-  EXPECT_LT(std::abs(hw->class_rate(0) - next),
-            std::abs(ewma->class_rate(0) - next));
-  // And the trend pushes the forecast *ahead* of the lagging EWMA.
-  EXPECT_GT(hw->class_rate(0), ewma->class_rate(0));
-}
-
-TEST(HoltWinters, CollapsingClassNeverForecastsNegative) {
-  EstimatorFixture f;
-  EstimatorOptions opts;
-  opts.window = 2;
-  opts.trend_window = 2;
-  const std::unique_ptr<Estimator> hw = f.make("holt-winters", opts);
-  // Crash from full volume to nothing: the learned negative trend must
-  // not drive the rate forecast below zero.
-  hw->observe(f.window_sessions(), f.window_bytes());
-  const std::vector<std::uint64_t> zeros(f.scenario.classes().size(), 0);
-  for (int i = 0; i < 6; ++i) hw->observe(zeros, zeros);
-  for (std::size_t c = 0; c < zeros.size(); ++c)
-    EXPECT_GE(hw->class_rate(c), 0.0) << "class " << c;
-}
-
 // ---- var-ewma: quantized burst headroom + optional snap -------------------
 
 TEST(VarEwma, SteadyFeedMatchesPlainEwmaExactly) {
@@ -340,7 +290,7 @@ TEST(VarEwma, VolatileClassGetsQuantizedCappedHeadroom) {
   EstimatorFixture f;
   EstimatorOptions opts;
   opts.window = 4;
-  opts.trend_window = 6;
+  opts.variance_window = 6;
   opts.headroom_sigmas = 1.0;
   opts.headroom_cap = 0.2;
   // No scale anchoring: volumes stay in raw counter units so the

@@ -194,6 +194,41 @@ TEST(ControlLoop, MirrorFlapWithinOneIntervalStaysBelowHysteresis) {
   EXPECT_EQ(simulator.stats().sessions_replayed, 2000u);
 }
 
+TEST(ControlLoop, SustainedMirrorBlackholeReachesTheEpoch) {
+  LoopFixture f;
+  // The datacenter mirror drops every tunnelled frame and fails its
+  // keepalive for the first three intervals.
+  constexpr int kPerInterval = 1000;
+  const int dc = f.input.datacenter_id();
+  ASSERT_GT(f.bootstrap.assignment.datacenter_load(f.input), 0.0);
+  sim::FailureSchedule hole;
+  sim::FailureEvent event;
+  event.kind = sim::FailureKind::kMirrorBlackhole;
+  event.target = dc;
+  event.begin = 0;
+  event.end = 3 * kPerInterval;
+  hole.add(event);
+  sim::ReplayOptions ropts;
+  ropts.failures = &hole;
+  sim::ReplaySimulator simulator(f.input, f.bootstrap.bundle, ropts);
+  ControlLoopOptions lopts;
+  lopts.estimator_options.scale_to_total = f.tm.total();
+  ControlLoop loop(f.controller, simulator, f.bootstrap.bundle, lopts);
+
+  // One bad window stays below the down_after = 2 hysteresis.
+  const IntervalReport first =
+      loop.run_interval(f.generator.generate(kPerInterval), f.generator);
+  EXPECT_EQ(first.failures_reported, 0);
+  loop.run_interval(f.generator.generate(kPerInterval), f.generator);
+  const IntervalReport third =
+      loop.run_interval(f.generator.generate(kPerInterval), f.generator);
+  // By the third interval the verdict is the epoch's failure report, and
+  // the plan routes nothing to the dead datacenter.
+  EXPECT_EQ(simulator.down_mirrors(), std::vector<int>{dc});
+  EXPECT_EQ(third.failures_reported, 1);
+  EXPECT_EQ(third.epoch.assignment.datacenter_load(f.input), 0.0);
+}
+
 TEST(ControlLoopOptions, ValidateRejectsEveryBadField) {
   ControlLoopOptions good;
   EXPECT_NO_THROW(good.validate());

@@ -144,19 +144,5 @@ TEST(RolloutEngine, InstallsChangedBundleMakeBeforeBreak) {
   EXPECT_EQ(sim.num_generations(), 1u);  // Old generation fully drained.
 }
 
-TEST(RolloutEngine, SkipIdenticalCanBeDisabled) {
-  RolloutFixture f;
-  sim::ReplaySimulator sim = f.make_sim();
-  RolloutOptions opts;
-  opts.skip_identical = false;
-  RolloutEngine engine(f.replicate_bundle, opts);
-  shim::ConfigBundle retagged = f.replicate_bundle;
-  retagged.generation = 2;
-  const RolloutReport report = engine.apply(sim, retagged);
-  EXPECT_TRUE(report.installed);
-  EXPECT_EQ(engine.installs(), 1u);
-  EXPECT_EQ(sim.active_generation(), 2u);
-}
-
 }  // namespace
 }  // namespace nwlb::online

@@ -444,10 +444,9 @@ TEST(MirrorHealthReplay, DetectsCrashWithHysteresisAndObservesRecovery) {
   crash.end = 3 * kPerWindow;  // Crash spans windows 1 and 2.
   schedule.add(crash);
 
+  // Default hysteresis: down after 2 bad windows, up after 2 clean ones.
   ReplayOptions opts;
   opts.failures = &schedule;
-  opts.health.down_after = 2;
-  opts.health.up_after = 2;
   ReplaySimulator sim(f.input, f.bundle, opts);
 
   TraceConfig tc;
@@ -482,24 +481,25 @@ TEST(MirrorHealthReplay, CoverageReturnsToBaselineAfterRecovery) {
   crash.kind = FailureKind::kNodeCrash;
   crash.target = f.input.datacenter_id();
   crash.begin = 1 * kPerWindow;
-  crash.end = 2 * kPerWindow;  // Crash spans window 1 only.
+  crash.end = 3 * kPerWindow;  // Crash spans windows 1 and 2.
   schedule.add(crash);
 
   ReplayOptions opts;
   opts.failures = &schedule;
-  opts.health.down_after = 1;  // Aggressive detection for a short test.
-  opts.health.up_after = 1;
   ReplaySimulator sim(f.input, f.bundle, opts);
-  const std::vector<double> coverage = f.run_windows(sim, 5, kPerWindow);
+  const std::vector<double> coverage = f.run_windows(sim, 6, kPerWindow);
 
   EXPECT_NEAR(coverage[0], 1.0, 1e-12) << "healthy baseline";
   EXPECT_LT(coverage[1], 1.0) << "crash window";
-  EXPECT_LT(coverage[2], 1.0) << "health verdict still down (snapshot lag)";
-  // Window 3 replays with the end-of-window-2 verdict; by the end of
-  // window 3 the keepalive has been clean for up_after=1 windows, so
-  // window 4 — one window after recovery was observable — is back at the
-  // pre-failure level.
-  EXPECT_NEAR(coverage[4], coverage[0], 1e-12);
+  EXPECT_LT(coverage[2], 1.0) << "crash window";
+  // The second bad window (2) flags the mirror down; windows 3 and 4
+  // replay under that verdict while the keepalive is clean again.
+  EXPECT_LT(coverage[3], 1.0) << "health verdict still down (snapshot lag)";
+  EXPECT_LT(coverage[4], 1.0) << "health verdict still down (one clean window)";
+  // By the end of window 4 the keepalive has been clean for up_after = 2
+  // windows, so window 5 — one window after recovery was confirmed — is
+  // back at the pre-failure level.
+  EXPECT_NEAR(coverage[5], coverage[0], 1e-12);
   EXPECT_GT(sim.stats().degraded_skipped_packets, 0u);
 }
 
@@ -518,7 +518,6 @@ TEST(MirrorHealthReplay, FailOpenKeepsCoverageAboveFailClosed) {
     opts.failures = &schedule;
     opts.degrade = policy;
     opts.fail_open_headroom = headroom;
-    opts.health.down_after = 1;
     ReplaySimulator sim(f.input, f.bundle, opts);
     f.run_windows(sim, 4, kPerWindow);
     return sim.stats();

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "topo/kshortest.h"
 #include "topo/topology.h"
 
 namespace nwlb::topo {
@@ -95,44 +94,6 @@ TEST(Routing, BetweennessOfStarIsHub) {
   }
   const Routing r(g);
   EXPECT_EQ(max_betweenness_node(r), 0);
-}
-
-TEST(KShortest, EnumeratesDistinctLooplessPaths) {
-  // Diamond: 0-1-3 and 0-2-3, plus direct 0-3 edge.
-  Graph g;
-  for (int i = 0; i < 4; ++i) g.add_node("n" + std::to_string(i));
-  g.add_edge(0, 1);
-  g.add_edge(1, 3);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
-  g.add_edge(0, 3);
-  const auto paths = k_shortest_paths(g, 0, 3, 5);
-  ASSERT_EQ(paths.size(), 3u);
-  EXPECT_EQ(paths[0], (Path{0, 3}));
-  EXPECT_EQ(paths[1], (Path{0, 1, 3}));
-  EXPECT_EQ(paths[2], (Path{0, 2, 3}));
-}
-
-TEST(KShortest, StopsWhenExhausted) {
-  const Graph g = path_graph(3);
-  const auto paths = k_shortest_paths(g, 0, 2, 10);
-  ASSERT_EQ(paths.size(), 1u);  // A line has exactly one loopless path.
-  EXPECT_EQ(paths[0], (Path{0, 1, 2}));
-  EXPECT_THROW(k_shortest_paths(g, 0, 2, 0), std::invalid_argument);
-}
-
-TEST(KShortest, PathsOrderedByLength) {
-  const auto t = make_internet2();
-  const auto paths = k_shortest_paths(t.graph, 0, 10, 6);
-  ASSERT_GE(paths.size(), 2u);
-  for (std::size_t i = 0; i + 1 < paths.size(); ++i)
-    EXPECT_LE(paths[i].size(), paths[i + 1].size());
-  // All loopless.
-  for (const auto& p : paths) {
-    Path sorted = p;
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
-  }
 }
 
 }  // namespace
