@@ -53,9 +53,11 @@ void BM_ShimDecide(benchmark::State& state) {
   shim::Shim shim(0);
   shim.install(std::move(config));  // nwlb-lint: allow(raw-shim-install)
   const auto tuples = make_tuples(4096);
+  shim::ShimStats stats;
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(shim.decide(0, tuples[i++ & 4095]));
+    benchmark::DoNotOptimize(
+        shim.decide(0, tuples[i++ & 4095], nids::Direction::kForward, stats));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -72,9 +74,11 @@ void BM_ShimDecideManyClasses(benchmark::State& state) {
   shim::Shim shim(0);
   shim.install(std::move(config));  // nwlb-lint: allow(raw-shim-install)
   const auto tuples = make_tuples(4096);
+  shim::ShimStats stats;
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(shim.decide(static_cast<int>(i % 110), tuples[i & 4095]));
+    benchmark::DoNotOptimize(shim.decide(static_cast<int>(i % 110), tuples[i & 4095],
+                                         nids::Direction::kForward, stats));
     ++i;
   }
   state.SetItemsProcessed(state.iterations());

@@ -8,9 +8,9 @@
 // element; tunnels are modeled as byte counters the simulator drains.
 //
 // Data-plane fast path: install() compiles the ShimConfig into a flat
-// lookup structure (see flat_table.h), and every decide() overload that
-// takes a caller-owned ShimStats is const and touches no mutable state, so
-// one shim serves any number of worker threads concurrently.
+// lookup structure (see flat_table.h), and both decide calls are const and
+// count into a caller-owned ShimStats, so one shim serves any number of
+// worker threads concurrently.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +31,7 @@ struct Decision {
 
 class Shim {
  public:
-  explicit Shim(int node_id, std::uint32_t hash_seed = 0)
-      : node_id_(node_id), hash_seed_(hash_seed) {}
+  explicit Shim(int node_id) : node_id_(node_id) {}
 
   int node_id() const { return node_id_; }
 
@@ -68,9 +67,6 @@ class Shim {
   Decision decide(int class_id, const nids::FiveTuple& tuple, nids::Direction direction,
                   ShimStats& stats) const;
 
-  /// Source-granularity decision (aggregatable analyses, e.g. Scan).
-  Decision decide_by_source(int class_id, std::uint32_t src_ip, ShimStats& stats) const;
-
   /// Run-length decision over a precomputed canonical-tuple hash: every
   /// packet of a session direction shares one hash, so the replay probes
   /// the flat table once and accounts `count` packets arithmetically.
@@ -79,43 +75,13 @@ class Shim {
   Action decide_hashed_repeat(int class_id, nids::Direction direction, std::uint32_t hash,
                               std::uint64_t count, ShimStats& stats) const;
 
-  /// Single-threaded convenience overloads: accumulate into the shim's own
-  /// stats (the pre-fast-path API shape).
-  Decision decide(int class_id, const nids::FiveTuple& tuple,
-                  nids::Direction direction = nids::Direction::kForward) {
-    return decide(class_id, tuple, direction, stats_);
-  }
-  Decision decide_by_source(int class_id, std::uint32_t src_ip) {
-    return decide_by_source(class_id, src_ip, stats_);
-  }
-
-  /// Records that `bytes` were replicated to `mirror` (tunnel accounting)
-  /// against the shim's own stats.
-  void count_replicated(int mirror, std::uint64_t bytes) {
-    stats_.count_replicated(mirror, bytes);
-  }
-
-  /// Folds a worker's caller-owned stats back into the shim's own, so the
-  /// aggregate accessors below stay meaningful after a parallel section.
-  void absorb(const ShimStats& stats) { stats_.merge(stats); }
-
-  /// Aggregations over the shim-owned stats (plus anything absorb()ed).
-  const ShimStats& stats() const { return stats_; }
-  std::uint64_t packets_seen() const { return stats_.packets_seen; }
-  std::uint64_t total_replicated_bytes() const { return stats_.total_replicated_bytes(); }
-  std::uint64_t replicated_bytes_to(int mirror) const {
-    return stats_.replicated_bytes_to(mirror);
-  }
-
  private:
   int node_id_;
-  std::uint32_t hash_seed_;
   ShimConfig config_;
   FlatConfig flat_;
   std::uint64_t generation_ = 0;
   bool installed_ = false;
   int compiles_ = 0;
-  ShimStats stats_;  // Backs the convenience overloads only.
 };
 
 }  // namespace nwlb::shim

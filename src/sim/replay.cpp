@@ -11,6 +11,8 @@
 #include "obs/metrics.h"
 #include "shim/hash.h"
 #include "shim/tunnel.h"
+#include "util/cpus.h"
+#include "util/fork_join.h"
 
 namespace nwlb::sim {
 
@@ -22,8 +24,32 @@ std::vector<double> ReplayStats::normalized_work() const {
   return out;
 }
 
+namespace {
+
+/// Adds the counters a shard tallies during replay, and its per-link tunnel
+/// bytes, into `total`.  Node work and packets come from the shard's
+/// engines, tunnel losses from its receivers, and decisions and flaps from
+/// stats(), so those fields are not summed here.
+void add_counts(ReplayStats& total, const ReplayStats& part) {
+  for (std::size_t l = 0; l < part.link_replicated_bytes.size(); ++l)
+    total.link_replicated_bytes[l] += part.link_replicated_bytes[l];
+  total.sessions_replayed += part.sessions_replayed;
+  total.packets_replayed += part.packets_replayed;
+  total.signature_matches += part.signature_matches;
+  total.tunnel_frames_sent += part.tunnel_frames_sent;
+  total.tunnel_frames_dropped += part.tunnel_frames_dropped;
+  total.tunnel_frames_blackholed += part.tunnel_frames_blackholed;
+  total.crash_skipped_packets += part.crash_skipped_packets;
+  total.fail_open_packets += part.fail_open_packets;
+  total.degraded_skipped_packets += part.degraded_skipped_packets;
+  total.stateful_covered += part.stateful_covered;
+  total.stateful_missed += part.stateful_missed;
+}
+
+}  // namespace
+
 /// All mutable replay state for one shard of the session list.  A shard is
-/// replayed by exactly one worker; nothing here is shared, so the workers
+/// replayed by exactly one team block; nothing here is shared, so the blocks
 /// never synchronize until the final in-order merge.
 struct ReplaySimulator::Shard {
   std::vector<nids::NidsNode> nodes;           // One per processing node.
@@ -34,18 +60,8 @@ struct ReplaySimulator::Shard {
   std::vector<std::optional<shim::TunnelSender>> senders;
   std::size_t stride = 0;                      // Processing-node count.
   std::vector<shim::ShimStats> shim_stats;     // One per PoP.
-  std::vector<double> link_bytes;
-  std::uint64_t packets = 0;
-  std::uint64_t matches = 0;
-  std::uint64_t frames_sent = 0;
-  std::uint64_t frames_dropped = 0;
-  std::uint64_t frames_blackholed = 0;
-  std::uint64_t crash_skipped = 0;
-  std::uint64_t fail_open = 0;
-  std::uint64_t degraded_skipped = 0;
-  std::uint64_t unassigned = 0;                  // Defensive; stays 0.
-  std::uint64_t stateful_covered = 0;
-  std::uint64_t stateful_missed = 0;
+  ReplayStats tally;  // What add_counts() merges: counters and link bytes.
+  std::uint64_t unassigned = 0;               // Defensive; stays 0.
   std::vector<std::uint64_t> gen_sessions;    // Sessions per generation slot.
   std::vector<std::uint64_t> class_sessions;  // Per traffic class.
   std::vector<std::uint64_t> class_bytes;     // Payload bytes per class.
@@ -91,7 +107,7 @@ struct ReplaySimulator::Shard {
     touched_nodes.assign((stride + 63) / 64, 0);
     senders.resize(stride * stride);
     shim_stats.resize(static_cast<std::size_t>(num_pops));
-    link_bytes.assign(input.link_capacity.size(), 0.0);
+    tally.link_replicated_bytes.assign(input.link_capacity.size(), 0.0);
     gen_sessions.assign(num_generations, 0);
     class_sessions.assign(input.classes.size(), 0);
     class_bytes.assign(input.classes.size(), 0);
@@ -124,9 +140,10 @@ ReplaySimulator::ReplaySimulator(const core::ProblemInput& input,
     throw std::invalid_argument("ReplaySimulator: one config per PoP required");
 
   const auto processing = static_cast<std::size_t>(input.num_processing_nodes());
+  mirror_target_.assign(processing, 0);
+  mark_mirror_targets(bundle.configs);
   health_.assign(processing, shim::MirrorHealth{});
   mirror_down_.assign(processing, 0);
-  mirror_target_.assign(processing, 0);
   window_mirror_sent_.assign(processing, 0);
   window_mirror_lost_.assign(processing, 0);
   window_class_sessions_.assign(input.classes.size(), 0);
@@ -145,19 +162,16 @@ ReplaySimulator::ReplaySimulator(const core::ProblemInput& input,
                               bundle.generation);
   }
   generations_.push_back(std::move(boot));
-  mark_mirror_targets(bundle.configs);
 
   // Cold path: constructor-time setup, runs once per simulator.
   // nwlb-analyze: allow(hot-path-purity)
   engine_ = std::make_shared<const nids::SignatureEngine>(
       nids::SignatureEngine::default_rules());
-  workers_ = options.num_workers == 0 ? nwlb::util::ThreadPool::default_workers()
+  workers_ = options.num_workers == 0 ? std::min(8, nwlb::util::usable_cpus(4))
                                       : options.num_workers;
-  // nwlb-analyze: allow(hot-path-purity)
-  if (workers_ > 1) pool_ = std::make_unique<nwlb::util::ThreadPool>(workers_);
-  node_work_.assign(processing, 0.0);
-  node_packets_.assign(processing, 0);
-  link_bytes_.assign(input.link_capacity.size(), 0.0);
+  totals_.node_work.assign(processing, 0.0);
+  totals_.node_packets.assign(processing, 0);
+  totals_.link_replicated_bytes.assign(input.link_capacity.size(), 0.0);
 }
 
 void ReplaySimulator::install_bundle(const shim::ConfigBundle& bundle) {
@@ -180,6 +194,7 @@ void ReplaySimulator::install_bundle(const shim::ConfigBundle& bundle,
       // nwlb-lint: allow(no-throw-hot-path) -- control-plane entry point.
       throw std::invalid_argument(
           "ReplaySimulator: bundle generation must exceed every installed one");
+  mark_mirror_targets(bundle.configs);  // The last check: throws or marks.
 
   // A staged-but-not-yet-activated generation that this bundle supersedes
   // (its activation point is at or past ours) would never serve a session:
@@ -203,23 +218,35 @@ void ReplaySimulator::install_bundle(const shim::ConfigBundle& bundle,
     // nwlb-lint: allow(raw-shim-install)
     next.shims[j].install(bundle.configs[j], bundle.generation);
   generations_.push_back(std::move(next));
-  mark_mirror_targets(bundle.configs);
-  ++rollouts_installed_;
+  ++rollout_.rollouts_installed;
   retire_drained_generations();
 }
 
 void ReplaySimulator::mark_mirror_targets(const std::vector<shim::ShimConfig>& configs) {
   // Sticky across installs: a degraded reconfiguration that stops using a
   // mirror must not stop probing it — the persistent tunnel's keepalive is
-  // exactly how the control plane observes the mirror recovering.
-  for (const shim::ShimConfig& config : configs)
-    config.for_each_table([&](int, nids::Direction, const shim::RangeTable& table) {
-      for (const shim::HashRange& range : table.ranges())
-        if (range.action.kind == shim::Action::Kind::kReplicate &&
-            range.action.mirror >= 0 &&
-            static_cast<std::size_t>(range.action.mirror) < mirror_target_.size())
-          mirror_target_[static_cast<std::size_t>(range.action.mirror)] = 1;
+  // exactly how the control plane observes the mirror recovering.  Marked
+  // on a copy: a mirror outside the processing nodes (which the shards
+  // would index their node, sender and health tables with) rejects the
+  // whole bundle with no mark changed.
+  std::vector<char> targets = mirror_target_;
+  for (std::size_t pop = 0; pop < configs.size(); ++pop)
+    configs[pop].for_each_table([&](int class_id, nids::Direction,
+                                    const shim::RangeTable& table) {
+      for (const shim::HashRange& range : table.ranges()) {
+        if (range.action.kind != shim::Action::Kind::kReplicate) continue;
+        const int mirror = range.action.mirror;
+        if (mirror < 0 || static_cast<std::size_t>(mirror) >= targets.size())
+          // nwlb-lint: allow(no-throw-hot-path) -- control-plane entry point.
+          throw std::invalid_argument(
+              "ReplaySimulator: PoP " + std::to_string(pop) + " class " +
+              std::to_string(class_id) + " replicates to mirror " +
+              std::to_string(mirror) + ", outside the " +
+              std::to_string(targets.size()) + " processing nodes");
+        targets[static_cast<std::size_t>(mirror)] = 1;
+      }
     });
+  mirror_target_ = std::move(targets);
 }
 
 std::size_t ReplaySimulator::generation_slot(std::uint64_t session_index) const {
@@ -243,7 +270,8 @@ void ReplaySimulator::replay_direction(Shard& shard, const std::vector<shim::Shi
   const auto& cls = input_->classes[static_cast<std::size_t>(session.class_index)];
   const topo::Path& path =
       direction == nids::Direction::kForward ? cls.fwd_path : cls.rev_path;
-  shard.packets += static_cast<std::uint64_t>(packets);
+  ReplayStats& tally = shard.tally;
+  tally.packets_replayed += static_cast<std::uint64_t>(packets);
   const FailureSchedule* failures = options_.failures;
 
   // Every packet of one session direction carries the same 5-tuple, so
@@ -262,7 +290,7 @@ void ReplaySimulator::replay_direction(Shard& shard, const std::vector<shim::Shi
     if (failures && failures->node_crashed(path[p], session_index)) {
       // Crashed node: the shim makes no decisions and the engine does no
       // work — this direction's packets pass it un-inspected.
-      shard.crash_skipped += static_cast<std::uint64_t>(packets);
+      tally.crash_skipped_packets += static_cast<std::uint64_t>(packets);
     } else {
       action = shims[j].decide_hashed_repeat(session.class_index, direction, hash,
                                              static_cast<std::uint64_t>(packets),
@@ -297,7 +325,7 @@ void ReplaySimulator::replay_direction(Shard& shard, const std::vector<shim::Shi
       const shim::Action action = shard.action_buf[p];
       switch (action.kind) {
         case shim::Action::Kind::kProcess:
-          shard.matches += shard.nodes[static_cast<std::size_t>(j)].process(packet);
+          tally.signature_matches += shard.nodes[static_cast<std::size_t>(j)].process(packet);
           break;
         case shim::Action::Kind::kReplicate: {
           const int mirror = action.mirror;
@@ -307,10 +335,11 @@ void ReplaySimulator::replay_direction(Shard& shard, const std::vector<shim::Shi
           // headroom cap); otherwise the range goes dark.
           if (mirror_down_[static_cast<std::size_t>(mirror)] != 0) {
             if (options_.degrade == DegradePolicy::kFailOpen && fail_open_admitted) {
-              shard.matches += shard.nodes[static_cast<std::size_t>(j)].process(packet);
-              ++shard.fail_open;
+              tally.signature_matches +=
+                  shard.nodes[static_cast<std::size_t>(j)].process(packet);
+              ++tally.fail_open_packets;
             } else {
-              ++shard.degraded_skipped;
+              ++tally.degraded_skipped_packets;
             }
             break;
           }
@@ -325,7 +354,7 @@ void ReplaySimulator::replay_direction(Shard& shard, const std::vector<shim::Shi
           const std::size_t frame_bytes =
               shard.sender_for(static_cast<std::size_t>(j), static_cast<std::size_t>(mirror))
                   .encapsulate_into(packet, shard.frame_buf);
-          ++shard.frames_sent;
+          ++tally.tunnel_frames_sent;
           const auto bytes = static_cast<double>(frame_bytes);
           shard.shim_stats[static_cast<std::size_t>(j)].count_replicated(mirror,
                                                                          frame_bytes);
@@ -334,7 +363,7 @@ void ReplaySimulator::replay_direction(Shard& shard, const std::vector<shim::Shi
           if (target_pop != j) {
             for (topo::LinkId l : input_->routing->links_on_path(j, target_pop)) {
               if (link_eaten) break;  // Dropped upstream: never reaches l.
-              shard.link_bytes[static_cast<std::size_t>(l)] += bytes;
+              tally.link_replicated_bytes[static_cast<std::size_t>(l)] += bytes;
               if (failures) {
                 if (const FailureEvent* e =
                         failures->link_down_at(static_cast<int>(l), session_index);
@@ -346,24 +375,24 @@ void ReplaySimulator::replay_direction(Shard& shard, const std::vector<shim::Shi
           }
           if (options_.replication_loss > 0.0 &&
               loss_rng.bernoulli(options_.replication_loss)) {
-            ++shard.frames_dropped;
+            ++tally.tunnel_frames_dropped;
             break;  // Frame lost: the mirror never sees this packet.
           }
           if (link_eaten) {
-            ++shard.frames_blackholed;
+            ++tally.tunnel_frames_blackholed;
             break;
           }
           if (failures) {
             // A crashed mirror eats frames outright; a blackholed one eats
             // the event's severity fraction via stateless per-frame draws.
             if (failures->node_crashed(mirror, session_index)) {
-              ++shard.frames_blackholed;
+              ++tally.tunnel_frames_blackholed;
               break;
             }
             if (const FailureEvent* bh = failures->blackhole_at(mirror, session_index);
                 bh && FailureSchedule::drops_frame(*bh, options_.seed, session.id,
                                                    frame_tag)) {
-              ++shard.frames_blackholed;
+              ++tally.tunnel_frames_blackholed;
               break;
             }
           }
@@ -371,7 +400,7 @@ void ReplaySimulator::replay_direction(Shard& shard, const std::vector<shim::Shi
           if (auto delivered = shard.receivers[static_cast<std::size_t>(mirror)]
                                    .try_decapsulate_view(std::span<const std::byte>(
                                        shard.frame_buf.data(), frame_bytes)))
-            shard.matches +=
+            tally.signature_matches +=
                 shard.nodes[static_cast<std::size_t>(mirror)].process(*delivered);
           break;
         }
@@ -385,6 +414,7 @@ void ReplaySimulator::replay_direction(Shard& shard, const std::vector<shim::Shi
 void ReplaySimulator::replay_session(Shard& shard, const SessionSpec& session,
                                      std::uint64_t session_index,
                                      const TraceGenerator& generator) const {
+  ++shard.tally.sessions_replayed;
   // Sticky generation tag: the newest generation whose activation point
   // this session has reached decides every one of its packets, in both
   // directions — exactly one generation processes each session.
@@ -438,34 +468,27 @@ void ReplaySimulator::replay_session(Shard& shard, const SessionSpec& session,
         }
       }
     }
-    (covered ? shard.stateful_covered : shard.stateful_missed) += 1;
+    (covered ? shard.tally.stateful_covered : shard.tally.stateful_missed) += 1;
   }
 }
 
 void ReplaySimulator::merge(Shard& shard) {
   for (std::size_t id = 0; id < shard.nodes.size(); ++id) {
-    node_work_[id] += shard.nodes[id].work_units();
-    node_packets_[id] += shard.nodes[id].packets_processed();
+    totals_.node_work[id] += shard.nodes[id].work_units();
+    totals_.node_packets[id] += shard.nodes[id].packets_processed();
   }
-  for (std::size_t l = 0; l < shard.link_bytes.size(); ++l)
-    link_bytes_[l] += shard.link_bytes[l];
-  packets_ += shard.packets;
-  matches_ += shard.matches;
-  frames_sent_ += shard.frames_sent;
-  frames_dropped_ += shard.frames_dropped;
-  frames_blackholed_ += shard.frames_blackholed;
-  crash_skipped_ += shard.crash_skipped;
-  fail_open_ += shard.fail_open;
-  degraded_skipped_ += shard.degraded_skipped;
-  sessions_unassigned_ += shard.unassigned;
+  // A session's packets are all replayed by its own shard, so the coverage
+  // verdicts in its tally were final at end of session (see replay_session).
+  add_counts(totals_, shard.tally);
 
   // Rollout drain accounting: a session that rode any generation other
   // than the newest installed one was in a make-before-break drain window.
+  rollout_.sessions_unassigned += shard.unassigned;
   for (std::size_t s = 0; s < shard.gen_sessions.size(); ++s) {
     if (s + 1 == shard.gen_sessions.size())
-      sessions_current_gen_ += shard.gen_sessions[s];
+      rollout_.sessions_current_generation += shard.gen_sessions[s];
     else
-      sessions_draining_gen_ += shard.gen_sessions[s];
+      rollout_.sessions_draining_generation += shard.gen_sessions[s];
   }
   for (std::size_t c = 0; c < shard.class_sessions.size(); ++c) {
     window_class_sessions_[c] += shard.class_sessions[c];
@@ -486,15 +509,10 @@ void ReplaySimulator::merge(Shard& shard) {
     window_mirror_sent_[mirror] += sender.packets_sent();
   }
   for (std::size_t m = 0; m < shard.receivers.size(); ++m) {
-    detected_lost_ += shard.receivers[m].packets_lost();
+    totals_.tunnel_frames_detected_lost += shard.receivers[m].packets_lost();
     window_mirror_lost_[m] += shard.receivers[m].packets_lost();
-    frames_malformed_ += shard.receivers[m].frames_malformed();
+    totals_.tunnel_frames_malformed += shard.receivers[m].frames_malformed();
   }
-
-  // A session's packets are all replayed by its own shard, so its coverage
-  // verdict was final at end of session (see replay_session).
-  stateful_covered_ += shard.stateful_covered;
-  stateful_missed_ += shard.stateful_missed;
 
   // Decision counters are owned per PoP by the simulator — configuration
   // generations come and go during rollouts, the counters persist.
@@ -527,7 +545,7 @@ void ReplaySimulator::retire_drained_generations() {
   // pop_stats_, so nothing is lost).
   while (generations_.size() > 1 && generations_[1].first_session <= next_index_) {
     generations_.erase(generations_.begin());
-    ++generations_retired_;
+    ++rollout_.generations_retired;
   }
 }
 
@@ -535,7 +553,7 @@ void ReplaySimulator::replay(std::span<const SessionSpec> sessions,
                              const TraceGenerator& generator) {
   // The reconcile role spans the whole call: the window scratch is zeroed
   // before the shards launch and the merged accumulators are only written
-  // after the pool drains — shard code never touches guarded state (it
+  // after the team joins — shard code never touches guarded state (it
   // works on its own Shard), which -Wthread-safety proves.
   const nwlb::util::RoleGuard reconcile(reconcile_);
   const std::size_t total = sessions.size();
@@ -584,15 +602,16 @@ void ReplaySimulator::replay(std::span<const SessionSpec> sessions,
   if (shard_count == 1) {
     run_shard(0);
   } else {
-    for (std::size_t w = 0; w < shard_count; ++w)
-      pool_->submit([&run_shard, w] { run_shard(w); });
-    pool_->wait_idle();
+    // A team for this call only: its helpers spin between regions, so one
+    // kept across windows would hold cores through the control plane's
+    // solve.  The destructor joins them before the merge.
+    nwlb::util::ForkJoinTeam team(static_cast<int>(shard_count));
+    team.run([&run_shard](int block) { run_shard(static_cast<std::size_t>(block)); });
   }
 
   // Deterministic merge: shard index order, every accumulated double is an
   // integer-valued quantity, so the result is byte-identical to serial.
   for (Shard& shard : shards) merge(shard);
-  sessions_ += total;
   next_index_ += total;
   // One replay call = one reconcile window: verdicts computed here steer
   // the degradation policy from the next call on (the snapshot the shards
@@ -612,23 +631,7 @@ std::uint64_t ReplaySimulator::active_generation() const {
 
 ReplayStats ReplaySimulator::stats() const {
   reconcile_.assert_held();  // Readers run between replay windows.
-  ReplayStats s;
-  s.node_work = node_work_;
-  s.node_packets = node_packets_;
-  s.link_replicated_bytes = link_bytes_;
-  s.sessions_replayed = sessions_;
-  s.packets_replayed = packets_;
-  s.signature_matches = matches_;
-  s.tunnel_frames_sent = frames_sent_;
-  s.tunnel_frames_dropped = frames_dropped_;
-  s.tunnel_frames_blackholed = frames_blackholed_;
-  s.tunnel_frames_detected_lost = detected_lost_;
-  s.tunnel_frames_malformed = frames_malformed_;
-  s.crash_skipped_packets = crash_skipped_;
-  s.fail_open_packets = fail_open_;
-  s.degraded_skipped_packets = degraded_skipped_;
-  s.stateful_covered = stateful_covered_;
-  s.stateful_missed = stateful_missed_;
+  ReplayStats s = totals_;
   for (const shim::ShimStats& stats : pop_stats_) {
     s.decisions_process += stats.decided_process;
     s.decisions_replicate += stats.decided_replicate;
@@ -641,15 +644,10 @@ ReplayStats ReplaySimulator::stats() const {
 
 RolloutStats ReplaySimulator::rollout_stats() const {
   reconcile_.assert_held();  // Readers run between replay windows.
-  RolloutStats r;
+  RolloutStats r = rollout_;
   r.active_generation = active_generation();
   for (const Generation& g : generations_)
     if (g.first_session > next_index_) ++r.staged_generations;
-  r.rollouts_installed = rollouts_installed_;
-  r.generations_retired = generations_retired_;
-  r.sessions_current_generation = sessions_current_gen_;
-  r.sessions_draining_generation = sessions_draining_gen_;
-  r.sessions_unassigned = sessions_unassigned_;
   return r;
 }
 
@@ -737,16 +735,16 @@ void ReplaySimulator::export_metrics(obs::Registry& registry) const {
              "Fraction of bidirectional sessions without stateful coverage")
       .set(s.miss_rate());
 
-  for (std::size_t id = 0; id < node_work_.size(); ++id) {
+  for (std::size_t id = 0; id < s.node_work.size(); ++id) {
     const obs::Labels labels = {{"node", std::to_string(id)}};
     registry
         .gauge("nwlb_replay_node_work_units", labels,
                "Cumulative engine work units per processing node")
-        .set(node_work_[id]);
+        .set(s.node_work[id]);
     registry
         .counter("nwlb_replay_node_packets_total", labels,
                  "Packets processed per node (local + tunneled)")
-        .inc(node_packets_[id]);
+        .inc(s.node_packets[id]);
   }
 }
 
@@ -755,43 +753,6 @@ std::vector<int> ReplaySimulator::down_mirrors() const {
   for (std::size_t m = 0; m < mirror_down_.size(); ++m)
     if (mirror_down_[m] != 0) down.push_back(static_cast<int>(m));
   return down;
-}
-
-void ReplaySimulator::reset() {
-  const nwlb::util::RoleGuard reconcile(reconcile_);
-  std::fill(node_work_.begin(), node_work_.end(), 0.0);
-  std::fill(node_packets_.begin(), node_packets_.end(), 0);
-  std::fill(link_bytes_.begin(), link_bytes_.end(), 0.0);
-  std::fill(window_class_sessions_.begin(), window_class_sessions_.end(), 0);
-  std::fill(window_class_bytes_.begin(), window_class_bytes_.end(), 0);
-  for (shim::ShimStats& stats : pop_stats_) stats = shim::ShimStats{};
-  sessions_ = 0;
-  packets_ = 0;
-  matches_ = 0;
-  frames_sent_ = 0;
-  frames_dropped_ = 0;
-  frames_blackholed_ = 0;
-  frames_malformed_ = 0;
-  detected_lost_ = 0;
-  crash_skipped_ = 0;
-  fail_open_ = 0;
-  degraded_skipped_ = 0;
-  stateful_covered_ = 0;
-  stateful_missed_ = 0;
-  // The session cursor rewinds to 0, so only one generation can be
-  // coherent: keep the one serving the cursor, activate it at 0.
-  const std::size_t keep = generation_slot(next_index_);
-  if (keep > 0) generations_.erase(generations_.begin(), generations_.begin() + static_cast<std::ptrdiff_t>(keep));
-  if (generations_.size() > 1) generations_.erase(generations_.begin() + 1, generations_.end());
-  generations_.front().first_session = 0;
-  next_index_ = 0;
-  rollouts_installed_ = 0;
-  generations_retired_ = 0;
-  sessions_current_gen_ = 0;
-  sessions_draining_gen_ = 0;
-  sessions_unassigned_ = 0;
-  for (shim::MirrorHealth& h : health_) h.reset();
-  std::fill(mirror_down_.begin(), mirror_down_.end(), 0);
 }
 
 }  // namespace nwlb::sim

@@ -8,10 +8,12 @@
 // engines do real per-byte work, so per-node work units are an honest
 // CPU-instruction proxy.
 //
-// Parallel replay: sessions are sharded across a util::ThreadPool.  Every
-// shard owns its complete mutable state (NIDS engine instances, tunnel
-// endpoints, counters, shim stats) while the shims themselves are only
-// read; shards are merged in index order after the pool drains.  Because
+// Parallel replay: each replay() call splits its sessions into contiguous
+// shards and runs them as the blocks of a util::ForkJoinTeam that lives for
+// that call only, so no thread outlives it.  Every shard owns its complete
+// mutable state (NIDS engine instances, tunnel endpoints, a ReplayStats
+// tally, shim stats) while the shims themselves are only read; shards are
+// merged in index order after the team joins.  Because
 // the per-session loss RNG is derived from the session id, every per-frame
 // decision is independent of which shard replays the session, and every
 // accumulated quantity is either an integer counter or an integer-valued
@@ -62,7 +64,6 @@
 #include "util/mutex.h"
 #include "util/rng.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace nwlb::obs {
 class Registry;
@@ -88,7 +89,7 @@ struct ReplayOptions {
   std::uint64_t seed = 0x10ad;
 
   /// Session shards replayed concurrently.  1 = serial (default);
-  /// 0 = one per hardware thread (capped).  Any value produces the same
+  /// 0 = one per usable CPU, at most 8.  Any value produces the same
   /// ReplayStats, byte for byte.
   int num_workers = 1;
 
@@ -198,10 +199,12 @@ class ReplaySimulator {
   /// session cursor reaches `activate_at` (>= next_session_index(), or
   /// std::invalid_argument).  Until then both generations coexist and
   /// in-flight sessions keep their sticky generation; `bundle.generation`
-  /// must exceed every installed generation's.
+  /// must exceed every installed generation's.  Both overloads, like the
+  /// constructor, throw std::invalid_argument before changing any state
+  /// when a config replicates to a mirror outside the processing nodes.
   void install_bundle(const shim::ConfigBundle& bundle, std::uint64_t activate_at);
 
-  /// Replays the sessions; cumulative across calls until reset().
+  /// Replays the sessions; cumulative across calls.
   /// Stateful coverage is evaluated per call (a session's two directions
   /// must be replayed in the same call to count as covered).  One call is
   /// also one tunnel reconcile window: mirror health verdicts update at
@@ -213,7 +216,6 @@ class ReplaySimulator {
 
   ReplayStats stats() const;
   RolloutStats rollout_stats() const;
-  void reset();
 
   /// Exports the merged cumulative totals as nwlb_replay_* / nwlb_tunnel_* /
   /// nwlb_shim_* metrics.  Counters are *added* to whatever the registry
@@ -290,7 +292,6 @@ class ReplaySimulator {
   std::vector<Generation> generations_;  // Ascending first_session.
   // One compiled automaton shared by every (shard, node) engine instance.
   std::shared_ptr<const nids::SignatureEngine> engine_;
-  std::unique_ptr<nwlb::util::ThreadPool> pool_;  // Only when workers_ > 1.
 
   // Health state, one monitor per processing node; mirror_down_ is the
   // frozen snapshot the shards consult during a replay call.
@@ -302,7 +303,7 @@ class ReplaySimulator {
   // Reconcile-phase capability (compile-time only, DESIGN.md §11): the
   // merged accumulators below are touched exclusively by the caller's
   // thread while no shard is in flight — replay() merge/health sections,
-  // install_bundle(), reset(), and the stats readers.  Guarding them with
+  // install_bundle(), and the stats readers.  Guarding them with
   // this role makes clang's -Wthread-safety prove that discipline: shard
   // code (replay_session / replay_direction) cannot reach them.  State
   // shards *do* read during a window (generations_, mirror_down_,
@@ -320,31 +321,13 @@ class ReplaySimulator {
 
   // Cumulative accumulators (merged from shards in index order).  Shim
   // decision counters are owned per PoP by the simulator — generations
-  // come and go, the counters persist.
+  // come and go, the counters persist — and fill totals_' decisions_*
+  // fields only when stats() reads them.
   std::vector<shim::ShimStats> pop_stats_ NWLB_GUARDED_BY(reconcile_);
-  std::vector<double> node_work_ NWLB_GUARDED_BY(reconcile_);
-  std::vector<std::uint64_t> node_packets_ NWLB_GUARDED_BY(reconcile_);
-  std::vector<double> link_bytes_ NWLB_GUARDED_BY(reconcile_);
-  std::uint64_t sessions_ NWLB_GUARDED_BY(reconcile_) = 0;
-  std::uint64_t packets_ NWLB_GUARDED_BY(reconcile_) = 0;
-  std::uint64_t matches_ NWLB_GUARDED_BY(reconcile_) = 0;
-  std::uint64_t frames_sent_ NWLB_GUARDED_BY(reconcile_) = 0;
-  std::uint64_t frames_dropped_ NWLB_GUARDED_BY(reconcile_) = 0;
-  std::uint64_t frames_blackholed_ NWLB_GUARDED_BY(reconcile_) = 0;
-  std::uint64_t frames_malformed_ NWLB_GUARDED_BY(reconcile_) = 0;
-  std::uint64_t detected_lost_ NWLB_GUARDED_BY(reconcile_) = 0;
-  std::uint64_t crash_skipped_ NWLB_GUARDED_BY(reconcile_) = 0;
-  std::uint64_t fail_open_ NWLB_GUARDED_BY(reconcile_) = 0;
-  std::uint64_t degraded_skipped_ NWLB_GUARDED_BY(reconcile_) = 0;
-  std::uint64_t stateful_covered_ NWLB_GUARDED_BY(reconcile_) = 0;
-  std::uint64_t stateful_missed_ NWLB_GUARDED_BY(reconcile_) = 0;
-
-  // Rollout accounting (see RolloutStats).
-  std::uint64_t rollouts_installed_ NWLB_GUARDED_BY(reconcile_) = 0;
-  std::uint64_t generations_retired_ NWLB_GUARDED_BY(reconcile_) = 0;
-  std::uint64_t sessions_current_gen_ NWLB_GUARDED_BY(reconcile_) = 0;
-  std::uint64_t sessions_draining_gen_ NWLB_GUARDED_BY(reconcile_) = 0;
-  std::uint64_t sessions_unassigned_ NWLB_GUARDED_BY(reconcile_) = 0;
+  ReplayStats totals_ NWLB_GUARDED_BY(reconcile_);
+  // The counted fields; rollout_stats() derives active_generation and
+  // staged_generations from generations_.
+  RolloutStats rollout_ NWLB_GUARDED_BY(reconcile_);
 };
 
 }  // namespace nwlb::sim

@@ -13,8 +13,7 @@
 // few hundred microseconds after the previous one therefore starts without
 // a sleep/wake round trip, at the price of each helper keeping a core busy
 // for the team's whole lifetime: build a team around one burst of regions
-// (one LP solve), not for the life of a program.  util::ThreadPool is the
-// sleeping alternative for coarse tasks.
+// (one LP solve, one replay call), not for the life of a program.
 //
 // An exception escaping a block is rethrown from run() once every other
 // block has finished; when several blocks throw, the lowest block's

@@ -9,19 +9,16 @@
 // util::ThreadRole is a *zero-cost* capability: acquiring it is a no-op
 // at run time, but the analysis treats it like a lock.  It expresses
 // phase disciplines that have no mutex — e.g. "this accumulator may only
-// be touched during the reconcile window, after the worker pool has
-// drained" (sim::ReplaySimulator) — and turns violations of that
+// be touched during the reconcile window, after the replay shards have
+// joined" (sim::ReplaySimulator) — and turns violations of that
 // discipline into compile errors instead of TSan roulette.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #include "util/thread_annotations.h"
 
 namespace nwlb::util {
-
-class CondVar;
 
 /// std::mutex as a clang thread-safety capability.
 class NWLB_CAPABILITY("mutex") Mutex {
@@ -35,7 +32,6 @@ class NWLB_CAPABILITY("mutex") Mutex {
   bool try_lock() NWLB_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
  private:
-  friend class CondVar;  // wait() releases and reacquires the raw mutex.
   std::mutex m_;
 };
 
@@ -50,25 +46,6 @@ class NWLB_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Condition variable usable with util::Mutex.  wait() requires the
-/// mutex held, per the analysis; the internal release/reacquire inside
-/// std::condition_variable_any is invisible to it (and to callers), which
-/// matches the usual Mutex/CondVar annotation model: guarded state read
-/// in the wait loop is re-checked with the lock held.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void wait(Mutex& mu) NWLB_REQUIRES(mu) { cv_.wait(mu.m_); }
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
-
- private:
-  std::condition_variable_any cv_;
 };
 
 /// A capability with no run-time state: acquire/release are free, but the

@@ -106,17 +106,18 @@ TEST(Shim, DecisionsAreBidirectionallyPinned) {
   config.set_table(0, table);  // Both directions.
   Shim shim(1);
   shim.install(config);  // nwlb-lint: allow(raw-shim-install)
+  ShimStats stats;
   nwlb::util::Rng rng(2);
   for (int i = 0; i < 500; ++i) {
     nids::FiveTuple t{static_cast<std::uint32_t>(rng()), static_cast<std::uint32_t>(rng()),
                       static_cast<std::uint16_t>(rng()), static_cast<std::uint16_t>(rng()),
                       6};
-    const Decision fwd = shim.decide(0, t, nids::Direction::kForward);
-    const Decision rev = shim.decide(0, t.reversed(), nids::Direction::kReverse);
+    const Decision fwd = shim.decide(0, t, nids::Direction::kForward, stats);
+    const Decision rev = shim.decide(0, t.reversed(), nids::Direction::kReverse, stats);
     EXPECT_EQ(fwd.action, rev.action);
     EXPECT_EQ(fwd.hash, rev.hash);
   }
-  EXPECT_EQ(shim.packets_seen(), 1000u);
+  EXPECT_EQ(stats.packets_seen, 1000u);
 }
 
 TEST(Shim, InstallSkipsRecompileForIdenticalConfig) {
@@ -150,15 +151,15 @@ TEST(Shim, InstallSkipsRecompileForIdenticalConfig) {
   EXPECT_EQ(shim.generation(), 3u);
 }
 
-TEST(Shim, ReplicationAccounting) {
-  Shim shim(0);
-  shim.count_replicated(3, 100);
-  shim.count_replicated(3, 50);
-  shim.count_replicated(7, 10);
-  EXPECT_EQ(shim.total_replicated_bytes(), 160u);
-  EXPECT_EQ(shim.replicated_bytes_to(3), 150u);
-  EXPECT_EQ(shim.replicated_bytes_to(7), 10u);
-  EXPECT_EQ(shim.replicated_bytes_to(99), 0u);  // Never-used mirror.
+TEST(ShimStats, ReplicationAccounting) {
+  ShimStats stats;
+  stats.count_replicated(3, 100);
+  stats.count_replicated(3, 50);
+  stats.count_replicated(7, 10);
+  EXPECT_EQ(stats.total_replicated_bytes(), 160u);
+  EXPECT_EQ(stats.replicated_bytes_to(3), 150u);
+  EXPECT_EQ(stats.replicated_bytes_to(7), 10u);
+  EXPECT_EQ(stats.replicated_bytes_to(99), 0u);  // Never-used mirror.
 }
 
 TEST(ShimStatsContract, NegativeMirrorIdIsRejectedNotResized) {

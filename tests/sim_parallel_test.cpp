@@ -4,11 +4,18 @@
 // the shards share no mutable state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "core/mapper.h"
 #include "obs/export.h"
@@ -19,6 +26,7 @@
 #include "sim/trace.h"
 #include "topo/topology.h"
 #include "traffic/matrix.h"
+#include "util/cpus.h"
 
 namespace nwlb::sim {
 namespace {
@@ -119,14 +127,31 @@ TEST(ParallelReplay, OddWorkerCountsAndMoreWorkersThanSessions) {
 TEST(ParallelReplay, AutoWorkerCountResolves) {
   ParallelFixture f;
   ReplayOptions opts;
-  opts.num_workers = 0;  // Auto: one per hardware thread, capped.
+  opts.num_workers = 0;  // Auto: one per usable CPU, at most 8.
   ReplaySimulator sim(f.input, f.bundle, opts);
   EXPECT_GE(sim.num_workers(), 1);
+  EXPECT_LE(sim.num_workers(), std::min(8, util::usable_cpus()));
   TraceConfig tc;
   TraceGenerator gen(f.input.classes, tc, 41);
   const auto trace = gen.generate(200);
   sim.replay(trace, gen);
   EXPECT_EQ(sim.stats().sessions_replayed, trace.size());
+
+#if defined(__linux__)
+  // Pinned to one CPU, the auto count follows the affinity mask.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const int pinned_workers = ReplaySimulator(f.input, f.bundle, opts).num_workers();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned_workers, 1);
+#endif
 }
 
 TEST(ParallelReplay, MetricsExportByteIdenticalToSerial) {
@@ -226,7 +251,7 @@ TEST(ParallelReplay, RejectsNegativePayloadBytes) {
   }
 }
 
-TEST(ParallelReplay, CumulativeAcrossCallsAndReset) {
+TEST(ParallelReplay, CumulativeAcrossCalls) {
   ParallelFixture f;
   ReplayOptions opts;
   opts.num_workers = 4;
@@ -238,10 +263,39 @@ TEST(ParallelReplay, CumulativeAcrossCallsAndReset) {
   const ReplayStats once = sim.stats();
   sim.replay(trace, gen);
   EXPECT_EQ(sim.stats().packets_replayed, 2 * once.packets_replayed);
-  sim.reset();
-  EXPECT_EQ(sim.stats().packets_replayed, 0u);
-  EXPECT_EQ(sim.stats().sessions_replayed, 0u);
+  EXPECT_EQ(sim.stats().sessions_replayed, 2 * once.sessions_replayed);
 }
+
+#if defined(__linux__)
+std::size_t live_threads() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++count;
+  return count;
+}
+
+// The shards run on a team that lives for one replay() call: building a
+// sharded simulator starts no thread, and none survives the call — a team
+// kept across windows would spin its helpers through the control plane's
+// solve.
+TEST(ParallelReplay, NoThreadOutlivesAReplayCall) {
+  ParallelFixture f;
+  // A sanitizer runtime may start a helper thread of its own with the
+  // first thread the process creates (TSan does): start one here, so that
+  // helper is already in the baseline.
+  std::thread([] {}).join();
+  const std::size_t before = live_threads();
+  ReplayOptions opts;
+  opts.num_workers = 4;
+  ReplaySimulator sim(f.input, f.bundle, opts);
+  EXPECT_EQ(live_threads(), before);
+  TraceConfig tc;
+  TraceGenerator gen(f.input.classes, tc, 41);
+  sim.replay(gen.generate(300), gen);
+  EXPECT_EQ(live_threads(), before);
+}
+#endif
 
 }  // namespace
 }  // namespace nwlb::sim

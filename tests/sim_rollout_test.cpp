@@ -189,22 +189,51 @@ TEST(SimRollout, StagedGenerationCanBeSuperseded) {
   EXPECT_EQ(rollout.sessions_unassigned, 0u);
 }
 
-TEST(SimRollout, ResetCollapsesToASingleGeneration) {
+/// `bundle` with PoP 0's class-0 table replicating everything to a mirror
+/// id past the processing nodes.
+shim::ConfigBundle with_unknown_mirror(shim::ConfigBundle bundle) {
+  shim::RangeTable table;
+  table.add(shim::HashRange{0, shim::kHashSpace, shim::Action::replicate(4000)});
+  bundle.configs[0].set_table(0, table);
+  return bundle;
+}
+
+TEST(SimRollout, ConstructorRejectsAMirrorOutsideTheProcessingNodes) {
+  RolloutSimFixture f;
+  try {
+    ReplaySimulator sim(f.input, with_unknown_mirror(f.bundle));
+    FAIL() << "a replicate range to mirror 4000 was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("PoP 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("class 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("mirror 4000"), std::string::npos) << what;
+  }
+}
+
+TEST(SimRollout, InstallRejectsAMirrorOutsideTheProcessingNodes) {
   RolloutSimFixture f;
   ReplaySimulator sim(f.input, f.bundle);
   TraceGenerator generator = f.make_generator();
   sim.replay(generator.generate(100), generator);
-  sim.install_bundle(f.next_bundle, /*activate_at=*/150);
-  sim.reset();
-  EXPECT_EQ(sim.next_session_index(), 0u);
+  const RolloutStats before = sim.rollout_stats();
+  const ReplayStats replayed = sim.stats();
+
+  const shim::ConfigBundle bad = with_unknown_mirror(f.next_bundle);
+  EXPECT_THROW(sim.install_bundle(bad), std::invalid_argument);
+  EXPECT_THROW(sim.install_bundle(bad, /*activate_at=*/150), std::invalid_argument);
+
   EXPECT_EQ(sim.num_generations(), 1u);
-  const RolloutStats rollout = sim.rollout_stats();
-  EXPECT_EQ(rollout.rollouts_installed, 0u);
-  EXPECT_EQ(rollout.sessions_current_generation, 0u);
-  EXPECT_EQ(rollout.sessions_draining_generation, 0u);
-  // The collapsed generation serves from session 0 again.
-  sim.replay(generator.generate(50), generator);
-  EXPECT_EQ(sim.stats().sessions_replayed, 50u);
+  const RolloutStats after = sim.rollout_stats();
+  EXPECT_EQ(after.active_generation, before.active_generation);
+  EXPECT_EQ(after.staged_generations, before.staged_generations);
+  EXPECT_EQ(after.rollouts_installed, before.rollouts_installed);
+  EXPECT_EQ(after.generations_retired, before.generations_retired);
+  EXPECT_EQ(after.sessions_current_generation, before.sessions_current_generation);
+  // The next window replays on the installed generation.
+  sim.replay(generator.generate(200), generator);
+  EXPECT_EQ(sim.stats().sessions_replayed, replayed.sessions_replayed + 200);
+  EXPECT_EQ(sim.rollout_stats().sessions_current_generation, 300u);
   EXPECT_EQ(sim.rollout_stats().sessions_unassigned, 0u);
 }
 

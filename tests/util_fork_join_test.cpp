@@ -16,7 +16,6 @@
 
 #include "util/cpus.h"
 #include "util/fork_join.h"
-#include "util/thread_pool.h"
 
 namespace nwlb::util {
 namespace {
@@ -116,7 +115,8 @@ TEST(ForkJoinTeam, RejectsAnEmptyTeam) {
 
 #if defined(__linux__)
 // Pinned to one CPU, the process may run on one CPU, however many the host
-// has; ThreadPool::default_workers follows.
+// has; ParallelReplay.AutoWorkerCountResolves checks that replay's auto
+// worker count follows.
 TEST(UsableCpus, CountsTheAffinityMask) {
   cpu_set_t saved;
   CPU_ZERO(&saved);
@@ -128,11 +128,9 @@ TEST(UsableCpus, CountsTheAffinityMask) {
   CPU_SET(first, &one);
   ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
   const int pinned = usable_cpus();
-  const int pinned_workers = ThreadPool::default_workers();
   ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
 
   EXPECT_EQ(pinned, 1);
-  EXPECT_EQ(pinned_workers, 1);
   EXPECT_EQ(usable_cpus(), CPU_COUNT(&saved));
 }
 #endif

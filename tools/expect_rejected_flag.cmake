@@ -1,18 +1,28 @@
-# Runs `nwlbctl <FLAG> <VALUE>` and passes only when nwlbctl exits non-zero
-# with a message on stderr that names both the flag and the value.
+# Runs `nwlbctl [<LEAD>] <FLAG> [<VALUE>]` and passes only when nwlbctl exits
+# non-zero with a message on stderr that names the flag and, when there is
+# one, the value.  LEAD is one leading argument that selects a run (say
+# --live); leave out VALUE for a flag that takes none.
 #
-#   cmake -DNWLBCTL=<path> -DFLAG=<--flag> -DVALUE=<text> -P expect_rejected_flag.cmake
-execute_process(COMMAND "${NWLBCTL}" "${FLAG}" "${VALUE}"
+#   cmake -DNWLBCTL=<path> [-DLEAD=<arg>] -DFLAG=<--flag> [-DVALUE=<text>]
+#         -P expect_rejected_flag.cmake
+set(args ${LEAD} "${FLAG}")
+if(DEFINED VALUE)
+  list(APPEND args "${VALUE}")
+endif()
+execute_process(COMMAND "${NWLBCTL}" ${args}
                 RESULT_VARIABLE code
                 OUTPUT_VARIABLE out
                 ERROR_VARIABLE err)
 if(code EQUAL 0)
-  message(FATAL_ERROR "nwlbctl ${FLAG} ${VALUE} exited 0:\n${out}")
+  message(FATAL_ERROR "nwlbctl ${args} exited 0:\n${out}")
 endif()
 string(FIND "${err}" "${FLAG}" flag_at)
-string(FIND "${err}" "'${VALUE}'" value_at)
+set(value_at 0)
+if(DEFINED VALUE)
+  string(FIND "${err}" "'${VALUE}'" value_at)
+endif()
 if(flag_at EQUAL -1 OR value_at EQUAL -1)
   message(FATAL_ERROR
-          "nwlbctl ${FLAG} ${VALUE} exited ${code} without naming the flag "
+          "nwlbctl ${args} exited ${code} without naming the flag "
           "and the value:\n${err}")
 endif()

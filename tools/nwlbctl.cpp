@@ -87,9 +87,85 @@ struct CliOptions {
   int delay = 0;             // Max extra bus delay, in rounds.
 };
 
+/// The runs nwlbctl makes, as bits so a flag can name every run that reads it.
+enum Mode : unsigned {
+  kOneShot = 1,     // No --failures, no --live.
+  kFailures = 2,    // --failures without --live.
+  kLive = 4,        // --live with one controller.
+  kReplicated = 8,  // --live --replicas N, N > 1.
+};
+
+/// The run `opt` selects; run() dispatches on it.
+Mode mode_of(const CliOptions& opt) {
+  if (opt.live) return opt.replicas > 1 ? kReplicated : kLive;
+  return opt.failures.empty() ? kOneShot : kFailures;
+}
+
+const char* mode_name(Mode mode) {
+  switch (mode) {
+    case kOneShot: return "the one-shot solve";
+    case kFailures: return "the --failures loop";
+    case kLive: return "the --live loop";
+    case kReplicated: return "the replicated --live loop";
+  }
+  return "";
+}
+
+/// A flag only some runs read; every flag not listed is read by every run.
+struct ModeFlag {
+  const char* flag;
+  unsigned modes;     // The runs that read it.
+  const char* needs;  // How to select one of them.
+};
+
+constexpr const char* kNeedsOneShot = "the one-shot solve (no --failures or --live)";
+constexpr const char* kNeedsLoop = "--failures or --live";
+constexpr const char* kNeedsReplicas = "--live --replicas N with N > 1";
+constexpr ModeFlag kModeFlags[] = {
+    {"--validate", kOneShot, kNeedsOneShot},
+    {"--show-configs", kOneShot, kNeedsOneShot},
+    {"--dump-mps", kOneShot, kNeedsOneShot},
+    {"--dump-dot", kOneShot, kNeedsOneShot},
+    {"--sessions", kFailures | kLive | kReplicated, kNeedsLoop},
+    {"--epochs", kFailures | kLive | kReplicated, kNeedsLoop},
+    {"--fail-open", kFailures | kLive | kReplicated, kNeedsLoop},
+    {"--fail-closed", kFailures | kLive | kReplicated, kNeedsLoop},
+    {"--headroom", kFailures | kLive | kReplicated, kNeedsLoop},
+    {"--workers", kFailures | kLive | kReplicated, kNeedsLoop},
+    {"--estimator", kLive | kReplicated, "--live"},
+    {"--window", kLive | kReplicated, "--live"},
+    {"--drain", kLive | kReplicated, "--live"},
+    {"--hurst", kLive | kReplicated, "--live"},
+    {"--replicas", kLive | kReplicated, "--live"},
+    {"--rounds", kReplicated, kNeedsReplicas},
+    {"--lease", kReplicated, kNeedsReplicas},
+    {"--drop", kReplicated, kNeedsReplicas},
+    {"--delay", kReplicated, kNeedsReplicas},
+};
+
+/// One flag as given on the command line, with its value when it takes one.
+struct GivenFlag {
+  std::string flag;
+  std::optional<std::string> value;
+};
+
+/// A flag the selected run never reads would be silently ignored: reject it.
+void reject_unread_flags(const CliOptions& opt, const std::vector<GivenFlag>& given) {
+  const Mode mode = mode_of(opt);
+  for (const GivenFlag& g : given)
+    for (const ModeFlag& m : kModeFlags)
+      if (g.flag == m.flag && (m.modes & mode) == 0)
+        throw std::invalid_argument(g.flag + (g.value ? " '" + *g.value + "'" : "") +
+                                    " needs " + m.needs + "; " + mode_name(mode) +
+                                    " never reads it");
+}
+
 void print_usage() {
   std::cout <<
       R"(nwlbctl — network-wide NIDS load-balancing optimizer
+
+A flag the selected run never reads (say --rounds without --replicas) is
+an error, not ignored.
 
 Options:
   --topology <name>       Built-in topology (default Internet2; see --list-topologies)
@@ -124,8 +200,11 @@ Failure-recovery runner:
   --epochs <n>            Control windows to simulate        (default 8)
   --fail-open             Degraded shims absorb offloaded classes locally
                           (default: fail-closed — ranges go dark)
+  --fail-closed           Degraded ranges go dark (the default; overrides an
+                          earlier --fail-open)
   --headroom <x>          Fail-open local admission cap in [0,1] (default 0.5)
-  --workers <n>           Parallel replay workers; 0 = all cores (default 1)
+  --workers <n>           Parallel replay workers; 0 = one per usable CPU,
+                          at most 8 (default 1)
 
 Online control loop:
   --live                  Run the estimate -> epoch -> rollout loop: each
@@ -201,6 +280,7 @@ double parse_double(const std::string& flag, const std::string& text) {
 
 std::optional<CliOptions> parse(int argc, char** argv) {
   CliOptions opt;
+  std::vector<GivenFlag> given;
   for (int i = 1; i < argc; ++i) {
     const std::string raw = argv[i];
     // Accept both `--flag value` and `--flag=value`.
@@ -212,10 +292,15 @@ std::optional<CliOptions> parse(int argc, char** argv) {
         inline_value = raw.substr(eq + 1);
       }
     }
+    std::optional<std::string> taken;  // The value this flag consumed.
     auto value = [&]() -> std::string {
-      if (inline_value) return *inline_value;
-      if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
-      return argv[++i];
+      if (inline_value) {
+        taken = inline_value;
+      } else {
+        if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
+        taken = argv[++i];
+      }
+      return *taken;
     };
     if (arg == "--topology") opt.topology = value();
     else if (arg == "--topology-file") opt.topology_file = value();
@@ -253,7 +338,9 @@ std::optional<CliOptions> parse(int argc, char** argv) {
     } else {
       throw std::invalid_argument("unknown option '" + arg + "' (try --help)");
     }
+    given.push_back({arg, taken});
   }
+  reject_unread_flags(opt, given);
   return opt;
 }
 
@@ -683,9 +770,12 @@ int run(const CliOptions& opt) {
     return topo::topology_by_name(opt.topology);
   }();
 
-  if (opt.live && opt.replicas > 1) return run_replicated(opt, topology);
-  if (opt.live) return run_live(opt, topology);
-  if (!opt.failures.empty()) return run_failures(opt, topology);
+  switch (mode_of(opt)) {
+    case kReplicated: return run_replicated(opt, topology);
+    case kLive: return run_live(opt, topology);
+    case kFailures: return run_failures(opt, topology);
+    case kOneShot: break;
+  }
 
   const auto tm = traffic::gravity_matrix(
       topology.graph, traffic::paper_total_sessions(topology.graph.num_nodes()));
