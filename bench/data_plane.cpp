@@ -12,8 +12,9 @@
 //      replay, verifying the two produce byte-identical ReplayStats.
 //
 //   3. signature engine ns/byte — the baseline node-per-state Aho–Corasick
-//      vs the flat premultiplied table, single-stream and 4-lane batch
-//      (the form the data plane drives); the batch must be >= 2x baseline.
+//      vs the flat premultiplied table, single-stream (the form replay
+//      drives, one packet at a time) and 4-lane batch; the batch must be
+//      >= 2x baseline.
 //   4. replay headline — sessions/sec and payload bytes/sec of the
 //      sharded replay on a probe-heavy trace (16 B payloads, one packet
 //      per direction), with a worker-scaling table.  The

@@ -1,6 +1,5 @@
 #include "core/controller.h"
 
-#include <cmath>
 #include <exception>
 #include <stdexcept>
 #include <utility>
@@ -159,42 +158,17 @@ EpochResult Controller::run_epoch(const EpochRequest& request) {
     const lp::Basis* warm = warm_basis_ ? &*warm_basis_ : nullptr;
     result.warm_started = warm != nullptr;
 
-    // Per-class delta re-solve: when the model shape is unchanged and both
-    // this epoch and the warm basis' epoch are failure-free, only the
-    // classes whose session counts moved can have newly attractive columns
-    // (each class couples to the rest solely through the shared load rows).
-    // Restrict pricing to those classes; the solver's full verification
-    // pass guards against the restriction ever hiding optimality.
     lp::Options epoch_lp = options_.lp;
     if (request.max_solve_seconds > 0.0) epoch_lp.max_seconds = request.max_solve_seconds;
     if (request.objective_tolerance > 0.0)
       epoch_lp.objective_tolerance = request.objective_tolerance;
-    const lp::Options base_lp = epoch_lp;  // Retry baseline, no focus.
-    std::vector<int> focus_columns;
-    if (warm != nullptr && failures.empty() && delta_snapshot_clean_ &&
-        delta_class_sessions_.size() == input.classes.size()) {
-      std::vector<int> changed;
-      for (std::size_t c = 0; c < input.classes.size(); ++c) {
-        const double prev = delta_class_sessions_[c];
-        const double now = input.classes[c].sessions;
-        if (std::abs(now - prev) > 1e-9 * std::max(1.0, std::abs(prev)))
-          changed.push_back(static_cast<int>(c));
-      }
-      if (changed.size() < input.classes.size()) {
-        focus_columns = formulation.priority_columns_for(changed);
-        epoch_lp.priority_columns = &focus_columns;
-        result.delta_resolve = true;
-      }
-    }
 
     ReplicationLp::SolveResult attempt = formulation.try_solve(epoch_lp, warm);
     if (!lp::solved(attempt.status) && warm != nullptr) {
       // The warm basis may be fighting the new bounds; one cold retry with
-      // the same budget (and unrestricted pricing) before giving up on
-      // this epoch's solve.
-      attempt = formulation.try_solve(base_lp, nullptr);
+      // the same budget before giving up on this epoch's solve.
+      attempt = formulation.try_solve(epoch_lp, nullptr);
       result.warm_started = false;
-      result.delta_resolve = false;
     }
     result.solve_seconds += attempt.assignment.lp.solve_seconds;
     result.iterations +=
@@ -206,15 +180,8 @@ EpochResult Controller::run_epoch(const EpochRequest& request) {
       warm_basis_ = result.assignment.lp.basis;
       last_good_ = result.assignment;
       backoff_remaining_ = 0;
-      delta_class_sessions_.resize(input.classes.size());
-      for (std::size_t c = 0; c < input.classes.size(); ++c)
-        delta_class_sessions_[c] = input.classes[c].sessions;
-      delta_snapshot_clean_ = failures.empty();
     } else {
       backoff_remaining_ = kResolveBackoffEpochs;
-      // The snapshot no longer matches the basis the next warm start will
-      // reuse; disable the delta restriction until a clean solve lands.
-      delta_snapshot_clean_ = false;
       switch (attempt.status) {
         case lp::Status::kOptimal:
         case lp::Status::kGoodEnough:
@@ -323,11 +290,6 @@ void Controller::record_epoch(const EpochResult& result,
     metrics
         .counter("nwlb_controller_epochs_approximate_total", {},
                  "Epochs served a tolerance-certified (good-enough) plan")
-        .inc();
-  if (result.delta_resolve)
-    metrics
-        .counter("nwlb_controller_epochs_delta_resolve_total", {},
-                 "Epochs solved with pricing focused on changed classes")
         .inc();
   metrics
       .counter("nwlb_controller_lp_iterations_total", {},

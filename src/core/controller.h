@@ -109,10 +109,8 @@ struct EpochResult {
   /// Not a degraded state: the point is primal feasible and its objective
   /// is provably within ControllerOptions::lp.objective_tolerance.
   bool approximate = false;
-  /// True when this epoch's solve was issued with pricing restricted to
-  /// the changed classes' columns (per-class delta re-solve); the solver
-  /// itself widens to full pricing if the restriction cannot certify
-  /// optimality.
+  /// Always false: every epoch re-solves warm with full pricing.  Kept
+  /// because the end-to-end benchmark reads it for core.delta_frac.
   bool delta_resolve = false;
 
   /// True when this epoch's plan is not a fresh optimum: the LP fell back
@@ -173,12 +171,6 @@ class Controller {
   std::optional<lp::Basis> warm_basis_;
   std::optional<lp::Basis> scan_warm_basis_;
   std::optional<Assignment> last_good_;
-  /// Per-class session counts at the epoch that produced warm_basis_, used
-  /// to detect which classes' demands moved; the delta re-solve restricts
-  /// pricing to those classes' columns.  Valid only while
-  /// delta_snapshot_clean_ (both epochs failure-free, same model shape).
-  std::vector<double> delta_class_sessions_;
-  bool delta_snapshot_clean_ = false;
   int backoff_remaining_ = 0;
   int epochs_ = 0;
   std::uint64_t generation_ = 0;

@@ -65,7 +65,6 @@ void ReplicationLp::build() {
     const lp::VarId slack = model_.add_variable(0.0, degraded ? 1.0 : 0.0,
                                                 kCoverageSlackPenalty);
     model_.add_coefficient(coverage, slack, 1.0);
-    slack_vars_.push_back(slack);
   }
 
   // Each processing node's p and o variables in creation order, bucketed in
@@ -154,24 +153,6 @@ Assignment ReplicationLp::solve(const lp::Options& lp_options, const lp::Basis* 
     throw std::runtime_error("ReplicationLp::solve: solver returned " +
                              lp::to_string(result.status));
   return std::move(result.assignment);
-}
-
-std::vector<int> ReplicationLp::priority_columns_for(
-    const std::vector<int>& class_indices) const {
-  std::vector<char> wanted(input_->classes.size(), 0);
-  for (const int c : class_indices) {
-    if (c >= 0 && c < static_cast<int>(wanted.size()))
-      wanted[static_cast<std::size_t>(c)] = 1;
-  }
-  std::vector<int> columns;
-  columns.push_back(load_cost_var_.value);  // Shared epigraph variable.
-  for (const PVar& pv : p_vars_)
-    if (wanted[static_cast<std::size_t>(pv.class_index)]) columns.push_back(pv.var.value);
-  for (const OVar& ov : o_vars_)
-    if (wanted[static_cast<std::size_t>(ov.class_index)]) columns.push_back(ov.var.value);
-  for (std::size_t c = 0; c < slack_vars_.size(); ++c)
-    if (wanted[c]) columns.push_back(slack_vars_[c].value);
-  return columns;
 }
 
 ReplicationLp::SolveResult ReplicationLp::try_solve(const lp::Options& lp_options,

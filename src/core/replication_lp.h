@@ -56,12 +56,6 @@ class ReplicationLp {
   SolveResult try_solve(const lp::Options& lp_options = {},
                         const lp::Basis* warm = nullptr) const;
 
-  /// Structural column indices owned by `class_indices` (their p/o and
-  /// coverage-slack variables) plus the shared LoadCost column — the
-  /// Options::priority_columns set for a per-class delta re-solve when only
-  /// those classes' demands changed since the warm basis was taken.
-  std::vector<int> priority_columns_for(const std::vector<int>& class_indices) const;
-
   const lp::Model& model() const { return model_; }
   int num_process_vars() const { return static_cast<int>(p_vars_.size()); }
   int num_offload_vars() const { return static_cast<int>(o_vars_.size()); }
@@ -87,7 +81,6 @@ class ReplicationLp {
   lp::VarId load_cost_var_;
   std::vector<PVar> p_vars_;
   std::vector<OVar> o_vars_;
-  std::vector<lp::VarId> slack_vars_;  // One coverage slack per class.
 };
 
 }  // namespace nwlb::core

@@ -204,17 +204,6 @@ class Simplex {
                       : column_blocks(row_col_.size() + static_cast<std::size_t>(m));
     split_blocks(row_ptr);
     if (num_blocks_ > 1) team_ = std::make_unique<util::ForkJoinTeam>(num_blocks_);
-    if (opt_.priority_columns != nullptr && !opt_.priority_columns->empty()) {
-      focus_.assign(static_cast<std::size_t>(num_cols_), 0);
-      for (const int j : *opt_.priority_columns) {
-        NWLB_CHECK(j >= 0 && j < n, "priority column ", j,
-                   " outside the structural range [0, ", n, ")");
-        focus_[static_cast<std::size_t>(j)] = 1;
-      }
-      // Logicals are always candidates: the coupling rows' slacks must be
-      // free to move when a focused class shifts load between nodes.
-      for (int j = n; j < num_cols_; ++j) focus_[static_cast<std::size_t>(j)] = 1;
-    }
   }
 
   /// Splits the columns (structural, then logical) into num_blocks_
@@ -563,19 +552,15 @@ class Simplex {
   struct PriceResult {
     int entering = -1;
     double d_enter = 0.0;
-    bool scanned_all = false;      // Full (unrestricted) eligibility scan.
     double gap = 0.0;              // Sum over eligible of |d_j| * range_j.
     bool gap_unbounded = false;    // An eligible column has infinite range.
   };
 
   /// Folds an eligible column into a Devex pricing pass: keeps the column
   /// maximizing d_j^2 / ref_weight_j, ties to the smallest index, or in
-  /// Bland mode the smallest index.  When the per-class focus is active
-  /// only focused columns (changed classes + all logicals) compete; the
-  /// caller widens before declaring optimality.
+  /// Bland mode the smallest index.
   void consider(std::size_t uj, double violation, bool bland, PriceResult& pr,
                 double& best_score) const {
-    if (focus_active_ && focus_[uj] == 0) return;
     const double range = ub_[uj] - lb_[uj];
     if (std::isfinite(range)) {
       pr.gap += violation * range;
@@ -603,7 +588,6 @@ class Simplex {
   PriceResult price_candidates(bool bland) {
     KernelTimer timer(kernels_.pricing);
     PriceResult pr;
-    pr.scanned_all = !focus_active_;
     double best_score = 0.0;
     std::size_t kept = 0;
     for (std::size_t k = 0; k < candidates_.size(); ++k) {
@@ -626,7 +610,6 @@ class Simplex {
   PriceResult price_full(bool bland) {
     KernelTimer timer(kernels_.pricing);
     PriceResult pr;
-    pr.scanned_all = !focus_active_;
     double best_score = 0.0;
     for (int j = 0; j < num_cols_; ++j) {
       const std::size_t uj = static_cast<std::size_t>(j);
@@ -754,7 +737,6 @@ class Simplex {
     int stall = 0;
     bool bland = false;
     duals_fresh_ = false;
-    focus_active_ = !focus_.empty();
     {
       KernelTimer timer(kernels_.pivot_row);
       reset_reference_framework();
@@ -770,12 +752,6 @@ class Simplex {
       NWLB_DCHECK_EQ(pr.entering, price_full(bland).entering,
                      "candidate-set pricing chose differently from the full scan");
       if (pr.entering < 0) {
-        if (focus_active_) {
-          // The focused columns are clean; widen once to certify global
-          // optimality (or keep going unrestricted if anything is left).
-          focus_active_ = false;
-          continue;
-        }
         // Certify on a full scan.  The set holds every eligible column by
         // construction; should it ever miss one, rebuild and price again.
         if (price_full(bland).entering < 0) return Status::kOptimal;
@@ -789,8 +765,7 @@ class Simplex {
       // the caller's tolerance.  Certified on exact (refreshed) duals and
       // on the full scan's index-order sum, so summation order cannot move
       // the stopping point.
-      if (!phase1 && opt_.objective_tolerance > 0.0 && pr.scanned_all &&
-          !pr.gap_unbounded) {
+      if (!phase1 && opt_.objective_tolerance > 0.0 && !pr.gap_unbounded) {
         const double z = current_objective();
         const double budget = opt_.objective_tolerance * std::max(1.0, std::abs(z));
         if (pr.gap <= budget * (1.0 + kGapSumSlack)) {
@@ -1097,8 +1072,6 @@ class Simplex {
   std::vector<double> y_;           // Dual workspace (m).
   std::vector<int> candidates_;     // Superset of the dual-infeasible columns.
   std::vector<char> in_candidates_; // Membership flags for candidates_.
-  std::vector<char> focus_;         // Per-class delta re-solve column mask.
-  bool focus_active_ = false;
   double certified_bound_ = 0.0;    // kGoodEnough objective lower bound.
 
   // Column blocks of the pivot-row walk and the dual refresh.

@@ -132,13 +132,6 @@ struct Options {
   /// `objective_tolerance * max(1, |objective|)` of the optimum
   /// (Solution::objective_bound carries the certified bound).  0 = exact.
   double objective_tolerance = 0.0;
-
-  /// Per-class delta re-solve hook: when non-null (and a warm basis is
-  /// supplied), pricing is first restricted to these structural columns
-  /// plus all logicals; a full pricing pass verifies global optimality and
-  /// the restriction is lifted only if that pass finds leftover
-  /// eligibility.  Non-owning; must outlive the solve call.
-  const std::vector<int>* priority_columns = nullptr;
 };
 
 }  // namespace nwlb::lp

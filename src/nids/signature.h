@@ -72,8 +72,9 @@ class SignatureEngine {
   /// their four independent transition-load chains overlap: the single-
   /// payload loop is latency-bound (every byte's table load depends on the
   /// previous one), and interleaving is the only way to convert that
-  /// latency into throughput.  This is the form the replay data plane
-  /// drives — per-packet payloads arriving in batches.
+  /// latency into throughput.  Replay does not drive it: NidsNode::process
+  /// scans each packet with count_matches; bench/data_plane gates this
+  /// form against the node-walk baseline.
   void count_matches_batch(const std::string_view* payloads, std::size_t* out_counts,
                            std::size_t n) const {
     const std::uint32_t* const table = table_storage_.data() + table_offset_;

@@ -132,6 +132,11 @@ ReplaySimulator::ReplaySimulator(const core::ProblemInput& input,
   if (options.num_workers < 0)
     // nwlb-lint: allow(no-throw-hot-path) -- construction, not replay.
     throw std::invalid_argument("ReplaySimulator: negative worker count");
+  if (options.num_workers > ReplayOptions::kMaxWorkers)
+    // nwlb-lint: allow(no-throw-hot-path) -- construction, not replay.
+    throw std::invalid_argument("ReplaySimulator: " + std::to_string(options.num_workers) +
+                                " workers exceeds the cap of " +
+                                std::to_string(ReplayOptions::kMaxWorkers));
   if (options.fail_open_headroom < 0.0 || options.fail_open_headroom > 1.0)
     // nwlb-lint: allow(no-throw-hot-path) -- construction, not replay.
     throw std::invalid_argument("ReplaySimulator: fail-open headroom out of [0,1]");

@@ -89,8 +89,10 @@ struct ReplayOptions {
   std::uint64_t seed = 0x10ad;
 
   /// Session shards replayed concurrently.  1 = serial (default);
-  /// 0 = one per usable CPU, at most 8.  Any value produces the same
-  /// ReplayStats, byte for byte.
+  /// 0 = one per usable CPU, at most 8; at most kMaxWorkers, since each
+  /// replay() starts a spinning thread per worker beyond the first.  Any
+  /// value produces the same ReplayStats, byte for byte.
+  static constexpr int kMaxWorkers = 64;
   int num_workers = 1;
 
   /// Timed crash/blackhole/link events; must outlive the simulator.

@@ -86,27 +86,13 @@ TEST(ColumnBlocks, ColdShapedSolve) {
 
 TEST(ColumnBlocks, WarmResolveAfterLoadRowDrift) {
   const ShapedLp base = make_shaped(150, 12, 0x90d1);
-  const ShapedLp epoch = make_shaped(150, 12, 0x90d1, 1.0, 0, 0.1);
+  const ShapedLp epoch = make_shaped(150, 12, 0x90d1, 0.1);
   expect_block_invariant(
       [&](int blocks) {
         const Solution start = solve_in(blocks, base.model);
         return solve_in(blocks, epoch.model, {}, &start.basis);
       },
       {64, 10, 1});
-}
-
-TEST(ColumnBlocks, FocusedDeltaResolve) {
-  const ShapedLp base = make_shaped(150, 12, 0x90d1);
-  const ShapedLp drifted = make_shaped(150, 12, 0x90d1, 4.0, 11);
-  const std::vector<int> focus = drifted.columns_of({11});
-  Options focus_opt;
-  focus_opt.priority_columns = &focus;
-  expect_block_invariant(
-      [&](int blocks) {
-        const Solution start = solve_in(blocks, base.model);
-        return solve_in(blocks, drifted.model, focus_opt, &start.basis);
-      },
-      {37, 7, 1});
 }
 
 TEST(ColumnBlocks, DegenerateBlandSolve) {

@@ -12,28 +12,18 @@ namespace nwlb::lp {
 
 /// A TiNet-shaped instance: per-class coverage equalities (GUB block),
 /// min-max load rows coupling every class through a shared epigraph
-/// variable, and a handful of capacity-style side rows.  `columns_of`
-/// returns each class's structural columns for focus-pricing tests.
+/// variable, and a handful of capacity-style side rows.
 struct ShapedLp {
   Model model;
   VarId load;
   std::vector<std::vector<VarId>> p;  // [class][node].
-
-  std::vector<int> columns_of(const std::vector<int>& class_indices) const {
-    std::vector<int> columns;
-    columns.push_back(load.value);
-    for (const int c : class_indices)
-      for (const VarId v : p[static_cast<std::size_t>(c)]) columns.push_back(v.value);
-    return columns;
-  }
 };
 
 /// `epoch_drift` > 0 additionally scales every load-row coefficient by an
 /// independent factor in [1 - drift, 1 + drift]: the shape of an nwlb
 /// epoch, where every class's demand moves a little.
 inline ShapedLp make_shaped(int classes, int nodes, std::uint64_t seed,
-                     double perturb_class_weight = 1.0, int perturbed_class = 0,
-                     double epoch_drift = 0.0) {
+                            double epoch_drift = 0.0) {
   util::Rng rng(seed);
   util::Rng drift(seed ^ 0xd21f7ull);
   ShapedLp lp;
@@ -51,7 +41,6 @@ inline ShapedLp make_shaped(int classes, int nodes, std::uint64_t seed,
     const RowId r = lp.model.add_row(Sense::kLessEqual, 0);
     for (int c = 0; c < classes; ++c) {
       double w = 0.5 + 2.5 * rng.uniform();
-      if (c == perturbed_class) w *= perturb_class_weight;
       if (epoch_drift > 0.0) w *= 1.0 + epoch_drift * (2.0 * drift.uniform() - 1.0);
       lp.model.add_coefficient(r, lp.p[static_cast<std::size_t>(c)][static_cast<std::size_t>(j)], w);
     }

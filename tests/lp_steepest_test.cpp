@@ -67,49 +67,6 @@ TEST(GoodEnough, CoarseToleranceStopsEarly) {
   }
 }
 
-// Per-class delta re-solve: after perturbing one class, pricing focused on
-// that class's columns (plus logicals) must still reach the true optimum —
-// the solver's full verification scan is the safety net.
-TEST(DeltaResolve, FocusedRepricingReachesTheOptimum) {
-  const ShapedLp base = make_shaped(30, 5, 0xde17a);
-  const Solution base_solution = solve_revised(base.model);
-  ASSERT_EQ(base_solution.status, Status::kOptimal);
-
-  // Same instance with class 3's weights scaled 1.6x (same model shape).
-  const ShapedLp drifted = make_shaped(30, 5, 0xde17a, 1.6, 3);
-  const Solution cold = solve_revised(drifted.model);
-  ASSERT_EQ(cold.status, Status::kOptimal);
-
-  Options focus_opt;
-  const std::vector<int> focus = drifted.columns_of({3});
-  focus_opt.priority_columns = &focus;
-  const Solution warm = solve_revised(drifted.model, focus_opt, &base_solution.basis);
-  ASSERT_EQ(warm.status, Status::kOptimal);
-  EXPECT_NEAR(warm.objective, cold.objective,
-              1e-6 * std::max(1.0, std::abs(cold.objective)));
-  EXPECT_LE(total_iterations(warm), total_iterations(cold));
-}
-
-// A deliberately wrong focus set must not yield a wrong answer: when the
-// restricted scan cannot certify optimality the solver widens to full
-// pricing and keeps going.
-TEST(DeltaResolve, WrongFocusStillSolvesExactly) {
-  const ShapedLp base = make_shaped(20, 4, 0xbad0);
-  const Solution base_solution = solve_revised(base.model);
-  ASSERT_EQ(base_solution.status, Status::kOptimal);
-  const ShapedLp drifted = make_shaped(20, 4, 0xbad0, 2.0, 7);
-  const Solution cold = solve_revised(drifted.model);
-  ASSERT_EQ(cold.status, Status::kOptimal);
-
-  Options focus_opt;
-  const std::vector<int> wrong_focus = drifted.columns_of({1});  // Not class 7.
-  focus_opt.priority_columns = &wrong_focus;
-  const Solution warm = solve_revised(drifted.model, focus_opt, &base_solution.basis);
-  ASSERT_EQ(warm.status, Status::kOptimal);
-  EXPECT_NEAR(warm.objective, cold.objective,
-              1e-6 * std::max(1.0, std::abs(cold.objective)));
-}
-
 // Pivot identity: the entering-column rule may get faster, but it must not
 // change a single choice.  These counts were recorded before the pricing
 // pass moved from a full column scan to a candidate set, and are pinned
@@ -137,23 +94,10 @@ TEST(PivotIdentity, WarmResolveAfterLoadRowDrift) {
   const ShapedLp base = make_shaped(150, 12, 0x90d1);
   const Solution base_solution = solve_revised(base.model);
   ASSERT_EQ(base_solution.status, Status::kOptimal);
-  const ShapedLp epoch = make_shaped(150, 12, 0x90d1, 1.0, 0, 0.1);
+  const ShapedLp epoch = make_shaped(150, 12, 0x90d1, 0.1);
   const Solution warm = solve_revised(epoch.model, {}, &base_solution.basis);
   ASSERT_EQ(warm.status, Status::kOptimal);
   expect_pivots(warm, {64, 10, 1});
-}
-
-TEST(PivotIdentity, FocusedDeltaResolve) {
-  const ShapedLp base = make_shaped(150, 12, 0x90d1);
-  const Solution base_solution = solve_revised(base.model);
-  ASSERT_EQ(base_solution.status, Status::kOptimal);
-  const ShapedLp drifted = make_shaped(150, 12, 0x90d1, 4.0, 11);
-  Options focus_opt;
-  const std::vector<int> focus = drifted.columns_of({11});
-  focus_opt.priority_columns = &focus;
-  const Solution warm = solve_revised(drifted.model, focus_opt, &base_solution.basis);
-  ASSERT_EQ(warm.status, Status::kOptimal);
-  expect_pivots(warm, {37, 7, 1});
 }
 
 // A low stall limit hands the degenerate coverage block to Bland's rule

@@ -184,11 +184,16 @@ TEST(ParallelReplay, StatsIncludeShimDecisionTotals) {
   EXPECT_EQ(stats.mirror_flaps, 0u);  // No failures injected, no flaps.
 }
 
-TEST(ParallelReplay, RejectsNegativeWorkerCount) {
+TEST(ParallelReplay, RejectsOutOfRangeWorkerCount) {
   ParallelFixture f;
   ReplayOptions opts;
   opts.num_workers = -2;
   EXPECT_THROW(ReplaySimulator(f.input, f.bundle, opts), std::invalid_argument);
+  // Threads start only inside replay(), so neither construction starts one.
+  opts.num_workers = ReplayOptions::kMaxWorkers + 1;
+  EXPECT_THROW(ReplaySimulator(f.input, f.bundle, opts), std::invalid_argument);
+  opts.num_workers = ReplayOptions::kMaxWorkers;
+  EXPECT_NO_THROW(ReplaySimulator(f.input, f.bundle, opts));
 }
 
 /// Replays a good window, then a window whose session at position 37 is

@@ -203,8 +203,8 @@ Failure-recovery runner:
   --fail-closed           Degraded ranges go dark (the default; overrides an
                           earlier --fail-open)
   --headroom <x>          Fail-open local admission cap in [0,1] (default 0.5)
-  --workers <n>           Parallel replay workers; 0 = one per usable CPU,
-                          at most 8 (default 1)
+  --workers <n>           Parallel replay workers, 0 to 64; 0 = one per
+                          usable CPU, at most 8 (default 1)
 
 Online control loop:
   --live                  Run the estimate -> epoch -> rollout loop: each
@@ -327,7 +327,11 @@ std::optional<CliOptions> parse(int argc, char** argv) {
     else if (arg == "--hurst") opt.hurst = parse_double(arg, value());
     else if (arg == "--window") opt.estimator_window = parse_int(arg, value());
     else if (arg == "--drain") opt.drain = parse_u64(arg, value());
-    else if (arg == "--replicas") opt.replicas = parse_int(arg, value());
+    else if (arg == "--replicas") {
+      opt.replicas = parse_int(arg, value());
+      if (opt.replicas < 1)
+        throw std::invalid_argument(arg + " needs a count of at least 1, got '" + *taken + "'");
+    }
     else if (arg == "--rounds") opt.rounds = parse_int(arg, value());
     else if (arg == "--lease") opt.lease = parse_u64(arg, value());
     else if (arg == "--drop") opt.drop = parse_double(arg, value());
@@ -389,6 +393,19 @@ int write_metrics(const obs::Registry& registry, const std::string& base) {
     return 1;
   }
   std::cout << "wrote metrics to " << base << ".prom and " << base << ".json\n";
+  return 0;
+}
+
+/// Closes a written --dump-* file; nonzero (with a message) when it could
+/// not be opened or written.
+int close_dump(std::ofstream& out, const std::string& flag, const std::string& path,
+               const char* what) {
+  out.close();
+  if (!out) {
+    std::cerr << "nwlbctl: " << flag << " cannot write '" << path << "'\n";
+    return 1;
+  }
+  std::cout << "wrote " << what << " to " << path << "\n";
   return 0;
 }
 
@@ -856,12 +873,12 @@ int run(const CliOptions& opt) {
     const core::ReplicationLp formulation(input);
     std::ofstream out(opt.dump_mps);
     lp::write_mps(formulation.model(), out, topology.name);
-    std::cout << "wrote LP to " << opt.dump_mps << "\n";
+    if (close_dump(out, "--dump-mps", opt.dump_mps, "LP") != 0) return 1;
   }
   if (!opt.dump_dot.empty()) {
     std::ofstream out(opt.dump_dot);
     topo::write_dot(topology, out);
-    std::cout << "wrote DOT to " << opt.dump_dot << "\n";
+    if (close_dump(out, "--dump-dot", opt.dump_dot, "DOT") != 0) return 1;
   }
   if (!opt.metrics_out.empty()) {
     obs::Registry registry;
