@@ -88,7 +88,7 @@ struct Solution {
   std::vector<double> duals;  // Row duals y (size m); sign: y for a'x<=b is <=0
                               // under our min convention's internal form; see
                               // revised_simplex.cpp for the exact convention.
-  int iterations = 0;
+  int iterations = 0;         // Primal phase-2 and dual pivots.
   int phase1_iterations = 0;
   int refactorizations = 0;
   double solve_seconds = 0.0;
@@ -117,7 +117,10 @@ struct Options {
                                    // controller sets this so one slow epoch
                                    // degrades instead of stalling the loop.
                                    // Honored by both phases of both backends.
-  int stall_limit = 2000;          // Degenerate steps before Bland's rule.
+  int stall_limit = 2000;          // Degenerate steps before Bland's rule,
+                                   // and zero-length dual steps before a
+                                   // warm start's dual hands over to
+                                   // primal phase 1.
 
   /// Cold-start crash basis: seat, in each equality row, a structural
   /// column whose only equality-row nonzero is that row (diagonal across

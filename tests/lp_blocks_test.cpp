@@ -92,7 +92,7 @@ TEST(ColumnBlocks, WarmResolveAfterLoadRowDrift) {
         const Solution start = solve_in(blocks, base.model);
         return solve_in(blocks, epoch.model, {}, &start.basis);
       },
-      {64, 10, 1});
+      {46, 0, 1});
 }
 
 TEST(ColumnBlocks, DegenerateBlandSolve) {

@@ -4,10 +4,16 @@
 // seed is an independent ctest case.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "lp/dense_simplex.h"
 #include "lp/revised_simplex.h"
+#include "lp/validate.h"
+#include "lp_shaped.h"
 #include "util/rng.h"
 
 namespace nwlb::lp {
@@ -199,6 +205,130 @@ TEST_P(LpMinMax, ReplicationShapedInstances) {
 }
 
 INSTANTIATE_TEST_SUITE_P(MinMaxShapes, LpMinMax, ::testing::Range<std::uint64_t>(1, 41));
+
+// Warm re-solves across edit sequences.  Each seed solves a random LP, then
+// edits it a step at a time and re-solves warm from the last optimal basis
+// after every edit: rhs moves, pins of a column to (v, v) and releases of
+// those pins, positive column scalings (the shape of a demand drift) and
+// one cost change.  A basis the edit left primal infeasible goes to the
+// dual simplex.  Every solve must match the dense oracle on status and
+// objective, and every optimum must pass validate_solution.
+
+/// Scales every coefficient of column `var` by `factor`.
+void scale_column(Model& model, VarId var, double factor) {
+  for (int r = 0; r < model.num_rows(); ++r) {
+    const std::vector<Entry> entries = model.row_entries(RowId{r});  // add_coefficient appends.
+    for (const Entry& e : entries)
+      if (e.var == var.value) model.add_coefficient(RowId{r}, var, (factor - 1.0) * e.coef);
+  }
+  model.normalize();
+}
+
+void expect_oracle_optimum(const Model& model, const Solution& s, const std::string& what) {
+  const Solution dense = solve_dense(model);
+  ASSERT_EQ(s.status, dense.status)
+      << what << ": dense=" << to_string(dense.status) << " revised=" << to_string(s.status);
+  if (dense.status != Status::kOptimal) return;
+  EXPECT_NEAR(s.objective, dense.objective, 1e-6 * std::max(1.0, std::abs(dense.objective)))
+      << what;
+  const auto report = validate_solution(model, s);
+  EXPECT_TRUE(report.ok()) << what << ": " << report.to_string();
+}
+
+class LpWarmEdits : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LpWarmEdits, WarmResolvesMatchTheOracle) {
+  constexpr int kSteps = 10;
+  GeneratedLp g = generate(GetParam(), 0.0);
+  Model& model = g.model;
+  Rng rng(GetParam() ^ 0x3d17ull);
+  const int n = model.num_variables();
+  Solution last = solve_revised(model);
+  expect_oracle_optimum(model, last, "cold");
+  Basis basis = last.basis;
+
+  struct Pin {
+    VarId var;
+    double lower, upper;  // The bounds the pin replaced.
+  };
+  std::vector<Pin> pins;
+  auto random_var = [&] { return VarId{static_cast<int>(rng.below(static_cast<std::uint64_t>(n)))}; };
+  // One edit; returns its name.
+  auto edit = [&](std::uint64_t kind) -> std::string {
+    if (kind == 4) {
+      model.set_cost(random_var(), rng.uniform(-2, 2));
+      return "cost";
+    }
+    if (kind == 0) {
+      const RowId row{static_cast<int>(rng.below(static_cast<std::uint64_t>(model.num_rows())))};
+      model.set_rhs(row, model.rhs(row) + rng.uniform(-1, 1));
+      return "rhs";
+    }
+    if (kind == 1 && !pins.empty()) {
+      const auto k = static_cast<std::ptrdiff_t>(rng.below(pins.size()));
+      const Pin pin = pins[static_cast<std::size_t>(k)];
+      pins.erase(pins.begin() + k);
+      model.set_bounds(pin.var, pin.lower, pin.upper);
+      return "release";
+    }
+    if (kind == 2) {
+      // A drift: every column of a random third moves by its own factor.
+      for (int j = 0; j < n; ++j)
+        if (rng.bernoulli(0.3)) scale_column(model, VarId{j}, rng.uniform(0.5, 2.0));
+      return "scale";
+    }
+    const VarId var = random_var();
+    if (std::any_of(pins.begin(), pins.end(), [var](const Pin& p) { return p.var == var; }))
+      return "none";
+    const double lo = model.lower(var);
+    const double hi = model.upper(var);
+    double v = rng.uniform(-1, 1);
+    if (std::isfinite(lo) && std::isfinite(hi)) {
+      v = lo + rng.uniform() * (hi - lo);
+    } else if (std::isfinite(lo)) {
+      v = lo + rng.uniform(0.0, 2.0);
+    } else if (std::isfinite(hi)) {
+      v = hi - rng.uniform(0.0, 2.0);
+    }
+    pins.push_back({var, lo, hi});
+    model.set_bounds(var, v, v);
+    return "pin";
+  };
+
+  // Each step makes one or two edits, so that a primal and a dual
+  // infeasibility can meet in one re-solve.  One step changes a cost and
+  // moves an rhs or pins a column with it.
+  const int cost_step = static_cast<int>(rng.below(kSteps));
+  for (int step = 0; step < kSteps; ++step) {
+    std::string what;
+    if (step == cost_step) {
+      what = edit(4) + "+" + edit(rng.bernoulli(0.5) ? 0 : 3);
+    } else {
+      what = edit(rng.below(4));
+      if (rng.bernoulli(0.5)) what += "+" + edit(rng.below(4));
+    }
+    last = solve_revised(model, {}, basis.empty() ? nullptr : &basis);
+    expect_oracle_optimum(model, last, "step " + std::to_string(step) + " (" + what + ")");
+    if (last.solved()) basis = last.basis;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomLps, LpWarmEdits, ::testing::Range<std::uint64_t>(1, 41));
+
+// Options::stall_limit = 0 stops the dual at its first zero-length step, and
+// primal phase 1 takes over from the basis it reached.  The solve must
+// still reach the oracle's optimum.
+TEST(LpWarmEdits, ZeroStallLimitHandsOverToPhase1) {
+  const ShapedLp base = make_shaped(30, 6, 0x57a11);
+  const Solution start = solve_revised(base.model);
+  ASSERT_EQ(start.status, Status::kOptimal);
+  const ShapedLp epoch = make_shaped(30, 6, 0x57a11, 0.1);
+  Options opt;
+  opt.stall_limit = 0;
+  const Solution warm = solve_revised(epoch.model, opt, &start.basis);
+  EXPECT_GT(warm.phase1_iterations, 0);
+  expect_oracle_optimum(epoch.model, warm, "stall limit 0");
+}
 
 }  // namespace
 }  // namespace nwlb::lp

@@ -321,7 +321,13 @@ std::optional<CliOptions> parse(int argc, char** argv) {
     else if (arg == "--fail-open") opt.fail_open = true;
     else if (arg == "--fail-closed") opt.fail_open = false;
     else if (arg == "--headroom") opt.headroom = parse_double(arg, value());
-    else if (arg == "--workers") opt.workers = parse_int(arg, value());
+    else if (arg == "--workers") {
+      opt.workers = parse_int(arg, value());
+      if (opt.workers < 0 || opt.workers > sim::ReplayOptions::kMaxWorkers)
+        throw std::invalid_argument(arg + " needs a count from 0 to " +
+                                    std::to_string(sim::ReplayOptions::kMaxWorkers) +
+                                    ", got '" + *taken + "'");
+    }
     else if (arg == "--live") opt.live = true;
     else if (arg == "--estimator") opt.estimator = value();
     else if (arg == "--hurst") opt.hurst = parse_double(arg, value());
@@ -396,15 +402,24 @@ int write_metrics(const obs::Registry& registry, const std::string& base) {
   return 0;
 }
 
+int cannot_write(const std::string& flag, const std::string& path) {
+  std::cerr << "nwlbctl: " << flag << " cannot write '" << path << "'\n";
+  return 1;
+}
+
+/// Opens a --dump-* file, before any solve; nonzero (with a message) when it
+/// cannot be opened.
+int open_dump(std::ofstream& out, const std::string& flag, const std::string& path) {
+  out.open(path);
+  return out ? 0 : cannot_write(flag, path);
+}
+
 /// Closes a written --dump-* file; nonzero (with a message) when it could
-/// not be opened or written.
+/// not be written.
 int close_dump(std::ofstream& out, const std::string& flag, const std::string& path,
                const char* what) {
   out.close();
-  if (!out) {
-    std::cerr << "nwlbctl: " << flag << " cannot write '" << path << "'\n";
-    return 1;
-  }
+  if (!out) return cannot_write(flag, path);
   std::cout << "wrote " << what << " to " << path << "\n";
   return 0;
 }
@@ -794,6 +809,11 @@ int run(const CliOptions& opt) {
     case kOneShot: break;
   }
 
+  std::ofstream mps_out;
+  std::ofstream dot_out;
+  if (!opt.dump_mps.empty() && open_dump(mps_out, "--dump-mps", opt.dump_mps) != 0) return 1;
+  if (!opt.dump_dot.empty() && open_dump(dot_out, "--dump-dot", opt.dump_dot) != 0) return 1;
+
   const auto tm = traffic::gravity_matrix(
       topology.graph, traffic::paper_total_sessions(topology.graph.num_nodes()));
   core::ScenarioConfig config;
@@ -871,14 +891,12 @@ int run(const CliOptions& opt) {
 
   if (!opt.dump_mps.empty()) {
     const core::ReplicationLp formulation(input);
-    std::ofstream out(opt.dump_mps);
-    lp::write_mps(formulation.model(), out, topology.name);
-    if (close_dump(out, "--dump-mps", opt.dump_mps, "LP") != 0) return 1;
+    lp::write_mps(formulation.model(), mps_out, topology.name);
+    if (close_dump(mps_out, "--dump-mps", opt.dump_mps, "LP") != 0) return 1;
   }
   if (!opt.dump_dot.empty()) {
-    std::ofstream out(opt.dump_dot);
-    topo::write_dot(topology, out);
-    if (close_dump(out, "--dump-dot", opt.dump_dot, "DOT") != 0) return 1;
+    topo::write_dot(topology, dot_out);
+    if (close_dump(dot_out, "--dump-dot", opt.dump_dot, "DOT") != 0) return 1;
   }
   if (!opt.metrics_out.empty()) {
     obs::Registry registry;
