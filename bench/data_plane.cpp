@@ -12,9 +12,10 @@
 //      replay, verifying the two produce byte-identical ReplayStats.
 //
 //   3. signature engine ns/byte — the baseline node-per-state Aho–Corasick
-//      vs the flat premultiplied table, single-stream (the form replay
-//      drives, one packet at a time) and 4-lane batch; the batch must be
-//      >= 2x baseline.
+//      vs the flat premultiplied table, single-stream and 4-lane batch; the
+//      batch must be >= 2x baseline.  Replay scans in groups of four: each
+//      full group of a session direction's packets through the batch, the
+//      last one to three packets single-stream.
 //   4. replay headline — sessions/sec and payload bytes/sec of the
 //      sharded replay on a probe-heavy trace (16 B payloads, one packet
 //      per direction), with a worker-scaling table.  The
@@ -45,10 +46,10 @@
 #include "core/controller.h"
 #include "core/scenario.h"
 #include "nids/signature.h"
-#include "nids/signature_baseline.h"
 #include "shim/flat_table.h"
 #include "sim/replay.h"
 #include "sim/trace.h"
+#include "support/signature_baseline.h"
 #include "traffic/matrix.h"
 #include "util/rng.h"
 
@@ -106,7 +107,8 @@ int main() {
   std::uint64_t checksum = 0;  // Defeats dead-code elimination of the loops.
 
   // --- 0. Signature engine ns/byte: baseline nodes vs flat table vs
-  // 4-lane batch (the shape the replay drives the engine in). ---
+  // 4-lane batch (replay scans each session direction in groups of four
+  // through the batch). ---
   util::Table ac_table({"PayloadB", "BaselineNsB", "FlatNsB", "BatchNsB", "FlatX",
                         "BatchX"});
   double ac_speedup = 0.0;  // Baseline time / batch time over all bytes.

@@ -1,9 +1,12 @@
+// nwlb-lint: hot-path
 #include "nids/node.h"
 
 namespace nwlb::nids {
 
 NidsNode::NidsNode(std::string name, std::vector<std::string> rules, CostModel cost)
     : name_(std::move(name)),
+      // Construction, not a packet: the automaton compiles once per node.
+      // nwlb-analyze: allow(hot-path-purity)
       signatures_(std::make_shared<const SignatureEngine>(
           rules.empty() ? SignatureEngine::default_rules() : std::move(rules))),
       cost_(cost) {}
@@ -12,8 +15,7 @@ NidsNode::NidsNode(std::string name, std::shared_ptr<const SignatureEngine> engi
                    CostModel cost)
     : name_(std::move(name)), signatures_(std::move(engine)), cost_(cost) {}
 
-std::size_t NidsNode::process(const PacketView& packet) {
-  const std::size_t matches = signatures_->count_matches(packet.payload);
+std::size_t NidsNode::process(const PacketView& packet, std::size_t matches) {
   // Scan detection counts initiator -> responder contacts; reverse-direction
   // packets are attributed to the session's initiator.
   const FiveTuple initiator_view =

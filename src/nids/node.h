@@ -39,8 +39,17 @@ class NidsNode {
 
   /// Full analysis of one packet (signature + scan + session tracking).
   /// Returns the number of signature matches in the payload.
-  std::size_t process(const PacketView& packet);
+  std::size_t process(const PacketView& packet) {
+    return process(packet, signatures_->count_matches(packet.payload));
+  }
   std::size_t process(const Packet& packet) { return process(PacketView(packet)); }
+
+  /// The same analysis for a packet whose payload was already scanned by
+  /// this node's engine: `matches` is its count_matches() result (replay
+  /// scans a session direction's packets four at a time and hands each
+  /// node its packet's count).  Runs the scan detector and session tracker
+  /// and charges the same work as process(packet); returns `matches`.
+  std::size_t process(const PacketView& packet, std::size_t matches);
 
   /// Pre-sizes the detector state for the expected epoch volume so the
   /// per-packet path never rehashes (replay shards call this once per

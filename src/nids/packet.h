@@ -1,12 +1,19 @@
 // Packet and session primitives shared by the shim and the NIDS engines.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace nwlb::nids {
+
+/// The largest payload one IPv4 packet can carry: a 65,535-byte total
+/// length less a 20-byte IPv4 header and a 20-byte TCP header.  The trace
+/// boundaries (generator bounds, replay windows, the pcap writer) reject
+/// more.
+inline constexpr std::size_t kMaxPayloadBytes = 65'535 - 20 - 20;
 
 /// IP 5-tuple.  Addresses and ports are stored in host order; the protocol
 /// is the IP protocol number (6 = TCP, 17 = UDP).

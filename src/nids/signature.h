@@ -24,8 +24,8 @@
 //     order.
 //
 // The semantic oracle is BaselineSignatureEngine (the original node-based
-// implementation); property tests require bit-identical scan and
-// count_matches behavior.
+// implementation, kept as test support in tests/support/); property tests
+// require bit-identical scan and count_matches behavior.
 #pragma once
 
 #include <algorithm>
@@ -72,9 +72,11 @@ class SignatureEngine {
   /// their four independent transition-load chains overlap: the single-
   /// payload loop is latency-bound (every byte's table load depends on the
   /// previous one), and interleaving is the only way to convert that
-  /// latency into throughput.  Replay does not drive it: NidsNode::process
-  /// scans each packet with count_matches; bench/data_plane gates this
-  /// form against the node-walk baseline.
+  /// latency into throughput.  Replay scans in groups of four: each full
+  /// group of a session direction's packets goes through this kernel, the
+  /// last one to three through count_matches, and every node the packet
+  /// reaches gets the count (NidsNode::process(packet, matches));
+  /// bench/data_plane gates this form against the node-walk baseline.
   void count_matches_batch(const std::string_view* payloads, std::size_t* out_counts,
                            std::size_t n) const {
     const std::uint32_t* const table = table_storage_.data() + table_offset_;

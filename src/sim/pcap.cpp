@@ -6,12 +6,14 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 namespace nwlb::sim {
 namespace {
 
 constexpr std::uint32_t kMagic = 0xa1b2c3d4;
 constexpr std::uint32_t kLinktypeRaw = 101;  // Raw IPv4.
+constexpr std::uint32_t kMaxIpv4Bytes = 65535;  // IPv4 total length is 16 bits.
 
 void put_u16le(std::ostream& out, std::uint16_t v) {
   const char bytes[2] = {static_cast<char>(v & 0xff), static_cast<char>(v >> 8)};
@@ -77,12 +79,19 @@ PcapWriter::PcapWriter(std::ostream& out) : out_(&out) {
   put_u16le(out, 4);       // Minor version.
   put_u32le(out, 0);       // Thiszone.
   put_u32le(out, 0);       // Sigfigs.
-  put_u32le(out, 65535);   // Snaplen.
+  put_u32le(out, kMaxIpv4Bytes);  // Snaplen.
   put_u32le(out, kLinktypeRaw);
 }
 
 void PcapWriter::write(const nids::Packet& packet, std::uint32_t ts_sec,
                        std::uint32_t ts_usec) {
+  // Above the limit the 16-bit IPv4 total length would wrap and the record
+  // would outgrow the snaplen the header declares.
+  if (packet.payload.size() > nids::kMaxPayloadBytes)
+    throw std::invalid_argument("PcapWriter: a payload of " +
+                                std::to_string(packet.payload.size()) +
+                                " bytes exceeds the IPv4 payload limit of " +
+                                std::to_string(nids::kMaxPayloadBytes));
   const bool tcp = packet.tuple.protocol == 6;
   const std::size_t l4_len = tcp ? 20 : 8;
   const std::size_t total = 20 + l4_len + packet.payload.size();
@@ -135,11 +144,11 @@ void PcapWriter::write(const nids::Packet& packet, std::uint32_t ts_sec,
 
 std::vector<nids::Packet> read_pcap(std::istream& in) {
   if (get_u32le(in) != kMagic) throw std::invalid_argument("pcap: bad magic");
-  (void)get_u16le(in);
-  (void)get_u16le(in);
-  (void)get_u32le(in);
-  (void)get_u32le(in);
-  (void)get_u32le(in);
+  (void)get_u16le(in);  // Major version.
+  (void)get_u16le(in);  // Minor version.
+  (void)get_u32le(in);  // Thiszone.
+  (void)get_u32le(in);  // Sigfigs.
+  const std::uint32_t snaplen = get_u32le(in);
   if (get_u32le(in) != kLinktypeRaw)
     throw std::invalid_argument("pcap: only LINKTYPE_RAW captures are supported");
 
@@ -151,6 +160,16 @@ std::vector<nids::Packet> read_pcap(std::istream& in) {
     (void)get_u32le(in);  // ts_usec.
     const std::uint32_t incl = get_u32le(in);
     (void)get_u32le(in);  // orig_len.
+    // Checked before the record's buffer is allocated: a corrupt length
+    // must not ask for gigabytes.
+    if (incl > snaplen)
+      throw std::invalid_argument("pcap: a record of " + std::to_string(incl) +
+                                  " bytes exceeds the capture's snaplen " +
+                                  std::to_string(snaplen));
+    if (incl > kMaxIpv4Bytes)
+      throw std::invalid_argument("pcap: a record of " + std::to_string(incl) +
+                                  " bytes exceeds the IPv4 maximum of " +
+                                  std::to_string(kMaxIpv4Bytes));
     std::vector<std::uint8_t> frame(incl);
     // Byte-buffer aliasing as char* for stream I/O.  nwlb-lint: allow(reinterpret-cast)
     in.read(reinterpret_cast<char*>(frame.data()), static_cast<std::streamsize>(incl));

@@ -21,7 +21,9 @@ class PcapWriter {
   /// Writes the global header immediately.  The stream must be binary.
   explicit PcapWriter(std::ostream& out);
 
-  /// Appends one packet with the given capture timestamp.
+  /// Appends one packet with the given capture timestamp.  Throws
+  /// std::invalid_argument, writing nothing, for a payload above
+  /// nids::kMaxPayloadBytes (it would not fit one IPv4 packet).
   void write(const nids::Packet& packet, std::uint32_t ts_sec = 0,
              std::uint32_t ts_usec = 0);
 
@@ -34,7 +36,8 @@ class PcapWriter {
 
 /// Reads a LINKTYPE_RAW IPv4 capture produced by PcapWriter (or any tool
 /// emitting the same framing).  Throws std::invalid_argument on malformed
-/// input.  Directions are reconstructed as kForward (pcap has no notion of
+/// input, a record longer than the header's snaplen or than an IPv4 packet
+/// among it (checked before the record is allocated).  Directions are reconstructed as kForward (pcap has no notion of
 /// session direction).
 std::vector<nids::Packet> read_pcap(std::istream& in);
 

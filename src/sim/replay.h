@@ -21,12 +21,16 @@
 // merges are exact — ReplayStats is byte-identical for any worker count.
 //
 // One data-plane path (§7.2): per session direction, one hash and one
-// table probe per on-path shim decide the whole run; then per packet the
-// shard builds the payload into one reusable buffer, processes it locally,
-// or stamps a tunnel frame into one reusable frame buffer that the mirror
-// decapsulates and processes inline.  Both buffers are sized once per
-// replay() call from the window's largest payload, so no packet or frame
-// allocates, and shards share no atomics until the end-of-window merge.
+// table probe per on-path shim decide the whole run.  The shard then builds
+// the direction's packets four at a time into four reusable payload slots
+// and counts their signature matches in one interleaved
+// SignatureEngine::count_matches_batch call; each packet in turn is
+// processed locally with its count, or stamped into one reusable frame
+// buffer that the mirror decapsulates and processes inline with the same
+// count (the frame carries the payload verbatim).  The slots and the frame
+// buffer are sized once per replay() call from the window's largest
+// payload, so no packet or frame allocates, and shards share no atomics
+// until the end-of-window merge.
 //
 // Failure injection: a FailureSchedule times node crashes, mirror
 // blackholes, and link outages in global-session-index space, so the set
@@ -213,7 +217,8 @@ class ReplaySimulator {
   /// the end of the call and apply from the next call on.  Throws
   /// std::invalid_argument, before replaying anything and with every
   /// counter and the session cursor unchanged, if a session's class_index
-  /// is outside ProblemInput::classes or its payload_bytes is negative.
+  /// is outside ProblemInput::classes or its payload_bytes is negative or
+  /// above nids::kMaxPayloadBytes.
   void replay(std::span<const SessionSpec> sessions, const TraceGenerator& generator);
 
   ReplayStats stats() const;

@@ -1,8 +1,11 @@
+// nwlb-lint: hot-path
 #include "sim/trace.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "nids/signature.h"
 #include "util/check.h"
@@ -13,6 +16,29 @@ namespace {
 
 constexpr double kPayloadParetoAlpha = 1.3;  // Per-packet payload size tail.
 
+/// The filler pool, stored twice over so that any run of up to
+/// kFillerPoolBytes bytes from any start offset is contiguous: byte i of a
+/// payload whose pool offset is o is kFillerPool[(o + i) % kFillerPoolBytes],
+/// and every chunk of up to kFillerPoolBytes bytes of it is one memcpy from
+/// kFillerPool.data() + o.  Drawn at compile time from a fixed splitmix64
+/// stream over 'a'..'q': printable filler keeps accidental signature
+/// collisions impossible (every rule in the corpus holds a byte outside that
+/// alphabet), and no generator or seed changes a byte of it.
+constexpr std::size_t kPoolBytes = TraceGenerator::kFillerPoolBytes;
+static_assert((kPoolBytes & (kPoolBytes - 1)) == 0, "the pool offset is a mask");
+
+constexpr std::array<char, 2 * kPoolBytes> make_filler_pool() {
+  std::array<char, 2 * kPoolBytes> pool{};
+  std::uint64_t state = 0xF111E4ULL;
+  for (std::size_t i = 0; i < kPoolBytes; ++i) {
+    pool[i] = static_cast<char>('a' + nwlb::util::splitmix64(state) % 17);
+    pool[kPoolBytes + i] = pool[i];
+  }
+  return pool;
+}
+
+constexpr std::array<char, 2 * kPoolBytes> kFillerPool = make_filler_pool();
+
 }  // namespace
 
 TraceGenerator::TraceGenerator(const std::vector<traffic::TrafficClass>& classes,
@@ -21,15 +47,26 @@ TraceGenerator::TraceGenerator(const std::vector<traffic::TrafficClass>& classes
       config_(config),
       rng_(nwlb::util::derive_seed(seed, 0x7247)),
       signatures_(nids::SignatureEngine::default_rules()) {
-  if (classes.empty()) throw std::invalid_argument("TraceGenerator: no classes");
+  if (classes.empty())
+    // nwlb-analyze: allow(no-throw-hot-path) -- construction, not a packet.
+    throw std::invalid_argument("TraceGenerator: no classes");
   if (config_.min_payload < 16 || config_.max_payload < config_.min_payload)
+    // nwlb-analyze: allow(no-throw-hot-path) -- construction, not a packet.
     throw std::invalid_argument("TraceGenerator: bad payload bounds");
+  if (static_cast<std::size_t>(config_.max_payload) > nids::kMaxPayloadBytes)
+    // nwlb-analyze: allow(no-throw-hot-path) -- construction, not a packet.
+    throw std::invalid_argument("TraceGenerator: max_payload " +
+                                std::to_string(config_.max_payload) +
+                                " exceeds the IPv4 payload limit of " +
+                                std::to_string(nids::kMaxPayloadBytes));
   weights_.reserve(classes.size());
   for (const auto& c : classes) weights_.push_back(c.sessions);
 }
 
 std::uint32_t TraceGenerator::pop_prefix(int pop) {
-  if (pop < 0 || pop > 255) throw std::invalid_argument("pop_prefix: pop out of range");
+  if (pop < 0 || pop > 255)
+    // nwlb-analyze: allow(no-throw-hot-path) -- address planning, not a packet.
+    throw std::invalid_argument("pop_prefix: pop out of range");
   return (10u << 24) | (static_cast<std::uint32_t>(pop) << 16);
 }
 
@@ -53,8 +90,11 @@ std::vector<SessionSpec> TraceGenerator::generate(int count) {
 
 std::vector<SessionSpec> TraceGenerator::generate_weighted(
     int count, std::span<const double> class_weights) {
-  if (count < 0) throw std::invalid_argument("TraceGenerator::generate: negative count");
+  if (count < 0)
+    // nwlb-analyze: allow(no-throw-hot-path) -- window sampling, not a packet.
+    throw std::invalid_argument("TraceGenerator::generate: negative count");
   if (class_weights.size() != classes_->size())
+    // nwlb-analyze: allow(no-throw-hot-path) -- window sampling, not a packet.
     throw std::invalid_argument(
         "TraceGenerator::generate_weighted: weight span size mismatch");
   std::vector<SessionSpec> out;
@@ -126,14 +166,13 @@ nids::PacketView TraceGenerator::packet_into(const SessionSpec& session, int ind
   packet.direction = direction;
   packet.tuple =
       direction == nids::Direction::kForward ? session.tuple : session.tuple.reversed();
-  // Deterministic filler derived from (id, index, direction).
+  // Filler: the pool read from an offset drawn once from (id, index,
+  // direction), wrapping around for payloads longer than the pool.
   std::uint64_t state = session.id * 1315423911u + static_cast<std::uint64_t>(index) * 2654435761u +
                         (direction == nids::Direction::kReverse ? 0x9e37ULL : 0);
-  for (std::size_t i = 0; i < payload_bytes; ++i) {
-    // Printable filler keeps accidental signature collisions impossible
-    // (the corpus contains no run of lowercase base32-style filler).
-    payload_buf[i] = static_cast<char>('a' + (nwlb::util::splitmix64(state) % 17));
-  }
+  const char* const from = kFillerPool.data() + (nwlb::util::splitmix64(state) & (kPoolBytes - 1));
+  for (std::size_t done = 0; done < payload_bytes; done += kPoolBytes)
+    std::memcpy(payload_buf.data() + done, from, std::min(kPoolBytes, payload_bytes - done));
   if (session.malicious && index == 0 && direction == nids::Direction::kForward) {
     const auto& sig = signatures_[session.id % signatures_.size()];
     if (sig.size() <= payload_bytes)

@@ -35,7 +35,7 @@ struct TraceConfig {
   int scanners = 4;                  // Scanning sources injected per trace.
   int scan_fanout = 40;              // Distinct destinations per scanner.
   int min_payload = 64;
-  int max_payload = 1400;
+  int max_payload = 1400;            // At most nids::kMaxPayloadBytes.
   int max_packets_per_direction = 12;
 };
 
@@ -57,17 +57,27 @@ class TraceGenerator {
   std::vector<SessionSpec> generate_weighted(int count,
                                              std::span<const double> class_weights);
 
+  /// Size of the filler pool every payload is copied from.
+  static constexpr std::size_t kFillerPoolBytes = 4096;
+
   /// Materializes the `index`-th packet of a session in one direction.
-  /// Payload content is deterministic in (session id, index, direction).
+  /// The payload is filler over 'a'..'q', copied from one pool of
+  /// kFillerPoolBytes bytes drawn at compile time: it starts at a pool
+  /// offset drawn from (session id, index, direction) and wraps around the
+  /// pool for longer payloads.  A malicious session's first forward packet
+  /// carries one corpus signature in its middle.  Payload content therefore
+  /// depends only on (session id, index, direction), never on the
+  /// generator's seed or state.
   nids::Packet make_packet(const SessionSpec& session, int index,
                            nids::Direction direction) const;
 
   /// Same packet as make_packet(), materialized into caller-owned payload
   /// storage: the returned view's payload aliases `payload_buf`, which must
   /// hold at least session.payload_bytes bytes and stay alive while the
-  /// view is used.  The replay builds every packet this way, into one
-  /// reusable buffer per shard; make_packet() delegates here, so the bytes
-  /// are identical by construction.
+  /// view is used.  The replay builds every packet this way, into a shard's
+  /// four reusable payload slots; make_packet() delegates here, so the
+  /// bytes are identical by construction.  The filler costs one draw and
+  /// one memcpy per kFillerPoolBytes of payload.
   nids::PacketView packet_into(const SessionSpec& session, int index,
                                nids::Direction direction,
                                std::span<char> payload_buf) const;

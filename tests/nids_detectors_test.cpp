@@ -1,10 +1,15 @@
 // Scan detector, session tracker, resource model, and NidsNode tests.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "nids/node.h"
 #include "nids/resources.h"
 #include "nids/scan.h"
 #include "nids/session.h"
+#include "util/rng.h"
 
 namespace nwlb::nids {
 namespace {
@@ -130,6 +135,45 @@ TEST(NidsNode, WorkScalesWithPayload) {
   node.process(big);
   const double w2 = node.work_units() - w1;
   EXPECT_GT(w2, w1);
+}
+
+// Replay scans a packet once and hands each node its count: a node fed
+// that way must end exactly where a node that scans for itself does.
+TEST(NidsNode, PrecountedProcessMatchesScanningProcess) {
+  const auto engine =
+      std::make_shared<const SignatureEngine>(SignatureEngine::default_rules());
+  NidsNode scanning("scanning", engine);
+  NidsNode precounted("precounted", engine);
+  const std::vector<std::string>& rules = SignatureEngine::default_rules();
+  util::Rng rng(17);
+  for (std::uint64_t id = 1; id <= 60; ++id) {
+    const FiveTuple tuple{static_cast<std::uint32_t>(rng.below(40)),
+                          static_cast<std::uint32_t>(100 + rng.below(40)),
+                          static_cast<std::uint16_t>(1024 + rng.below(100)), 80, 6};
+    for (const Direction dir : {Direction::kForward, Direction::kReverse}) {
+      if (dir == Direction::kReverse && rng.bernoulli(0.3)) continue;  // Half-open.
+      for (int k = 0; k < 3; ++k) {
+        Packet p;
+        p.session_id = id;
+        p.direction = dir;
+        p.tuple = dir == Direction::kForward ? tuple : tuple.reversed();
+        p.payload.assign(static_cast<std::size_t>(rng.below(300)), 'a');
+        for (char& c : p.payload) c = static_cast<char>('a' + rng.below(17));
+        if (rng.bernoulli(0.2)) p.payload += rules[rng.below(rules.size())];
+        const PacketView view(p);
+        EXPECT_EQ(precounted.process(view, engine->count_matches(view.payload)),
+                  scanning.process(view));
+      }
+    }
+  }
+  EXPECT_EQ(precounted.work_units(), scanning.work_units());
+  EXPECT_EQ(precounted.packets_processed(), scanning.packets_processed());
+  EXPECT_EQ(precounted.session_tracker().covered_ids(), scanning.session_tracker().covered_ids());
+  EXPECT_EQ(precounted.session_tracker().total_sessions(),
+            scanning.session_tracker().total_sessions());
+  EXPECT_EQ(precounted.session_tracker().work_units(), scanning.session_tracker().work_units());
+  EXPECT_EQ(precounted.scan_detector().report(), scanning.scan_detector().report());
+  EXPECT_EQ(precounted.scan_detector().work_units(), scanning.scan_detector().work_units());
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "nids/signature.h"
-#include "nids/signature_baseline.h"
+#include "support/signature_baseline.h"
 #include "util/rng.h"
 
 namespace nwlb::nids {

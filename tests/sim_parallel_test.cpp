@@ -256,6 +256,28 @@ TEST(ParallelReplay, RejectsNegativePayloadBytes) {
   }
 }
 
+// A payload no IPv4 packet can carry is rejected before any shard sizes its
+// four payload slots from it; one at the limit replays.
+TEST(ParallelReplay, RejectsOversizedPayloadBytes) {
+  ParallelFixture f;
+  const int limit = static_cast<int>(nids::kMaxPayloadBytes);
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE(workers);
+    expect_window_rejected(
+        f, workers, [&](SessionSpec& s) { s.payload_bytes = limit + 1; },
+        "payload_bytes " + std::to_string(limit + 1));
+
+    ReplayOptions opts;
+    opts.num_workers = workers;
+    ReplaySimulator sim(f.input, f.bundle, opts);
+    TraceGenerator gen(f.input.classes, TraceConfig{}, 41);
+    std::vector<SessionSpec> window = gen.generate(8);
+    window[5].payload_bytes = limit;
+    sim.replay(window, gen);
+    EXPECT_EQ(sim.next_session_index(), window.size());
+  }
+}
+
 TEST(ParallelReplay, CumulativeAcrossCalls) {
   ParallelFixture f;
   ReplayOptions opts;

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/scenario.h"
 #include "sim/trace.h"
@@ -95,6 +98,78 @@ TEST(Pcap, RejectsMalformedCaptures) {
   data.resize(data.size() - 5);
   std::istringstream truncated(data, std::ios::binary);
   EXPECT_THROW(read_pcap(truncated), std::invalid_argument);
+}
+
+// 65,495 payload bytes fill an IPv4 packet with a TCP header exactly; one
+// more would wrap the 16-bit total length and outgrow the declared snaplen.
+TEST(Pcap, RejectsPayloadAboveIpv4Limit) {
+  std::ostringstream out(std::ios::binary);
+  PcapWriter writer(out);
+  nids::Packet p = tcp_packet();
+  p.payload.assign(nids::kMaxPayloadBytes + 1, 'x');  // 65,496 bytes.
+  const std::size_t header_bytes = out.str().size();
+  try {
+    writer.write(p);
+    ADD_FAILURE() << "a 65,496-byte TCP payload was written";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("65496"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(out.str().size(), header_bytes);
+  EXPECT_EQ(writer.packets_written(), 0u);
+
+  p.payload.pop_back();  // At the limit: written, total length 65,535.
+  writer.write(p);
+  const std::string data = out.str();
+  ASSERT_EQ(data.size(), header_bytes + 16 + 65535);
+  EXPECT_EQ(static_cast<unsigned char>(data[header_bytes + 16 + 2]), 0xff);
+  EXPECT_EQ(static_cast<unsigned char>(data[header_bytes + 16 + 3]), 0xff);
+  std::istringstream in(data, std::ios::binary);
+  const auto packets = read_pcap(in);
+  ASSERT_EQ(packets.size(), 1u);
+  EXPECT_EQ(packets[0].payload, p.payload);
+}
+
+void put_u32le(std::string& out, std::uint32_t v) {
+  for (int shift = 0; shift < 32; shift += 8) out.push_back(static_cast<char>((v >> shift) & 0xff));
+}
+
+/// A capture header declaring `snaplen`, then one record header claiming
+/// `incl` bytes followed by only a few of them.
+std::string capture_with_record(std::uint32_t snaplen, std::uint32_t incl) {
+  std::string data;
+  put_u32le(data, 0xa1b2c3d4);
+  put_u32le(data, 2 | (4u << 16));  // Version 2.4.
+  put_u32le(data, 0);               // Thiszone.
+  put_u32le(data, 0);               // Sigfigs.
+  put_u32le(data, snaplen);
+  put_u32le(data, 101);             // LINKTYPE_RAW.
+  put_u32le(data, 0);               // ts_sec.
+  put_u32le(data, 0);               // ts_usec.
+  put_u32le(data, incl);
+  put_u32le(data, incl);            // orig_len.
+  data += "short body";
+  return data;
+}
+
+// A record's length is checked against the snaplen, and against the IPv4
+// maximum, before its buffer is allocated.
+TEST(Pcap, RejectsRecordAboveSnaplenBeforeAllocating) {
+  std::istringstream over_snaplen(capture_with_record(65535, 65536), std::ios::binary);
+  try {
+    read_pcap(over_snaplen);
+    ADD_FAILURE() << "a 65,536-byte record was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("snaplen 65535"), std::string::npos) << e.what();
+  }
+  // A header that declares any snaplen still cannot make a 4 GiB record
+  // allocate: no IPv4 packet is longer than 65,535 bytes.
+  std::istringstream huge(capture_with_record(0xffffffffu, 0xffffffffu), std::ios::binary);
+  try {
+    read_pcap(huge);
+    ADD_FAILURE() << "a 4 GiB record was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("IPv4 maximum"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace
