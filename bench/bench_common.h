@@ -58,7 +58,10 @@ class JsonReport {
     return *this;
   }
   JsonReport& scalar(const std::string& key, const std::string& value) {
-    entries_.emplace_back(key, "\"" + util::json_escape(value) + "\"");
+    std::string quoted = "\"";
+    quoted += util::json_escape(value);
+    quoted += '"';
+    entries_.emplace_back(key, std::move(quoted));
     return *this;
   }
   JsonReport& table(const std::string& key, const util::Table& t) {

@@ -1,5 +1,7 @@
 #include "dist/bus.h"
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/check.h"
@@ -28,15 +30,21 @@ double hash_draw(std::uint64_t seed, std::uint64_t stream, std::uint64_t tag) {
 
 }  // namespace
 
+void BusOptions::validate() const {
+  if (!(drop_probability >= 0.0 && drop_probability <= 1.0))
+    throw std::invalid_argument("MessageBus: drop probability out of [0,1], got " +
+                                std::to_string(drop_probability));
+  if (max_delay_rounds < 0)
+    throw std::invalid_argument("MessageBus: negative max delay, got " +
+                                std::to_string(max_delay_rounds));
+}
+
 MessageBus::MessageBus(int num_replicas, BusOptions options)
     : num_replicas_(num_replicas),
       options_(options),
       pending_(static_cast<std::size_t>(num_replicas > 0 ? num_replicas : 0)) {
   NWLB_CHECK_GE(num_replicas, 1, "MessageBus: needs at least one replica");
-  NWLB_CHECK(options.drop_probability >= 0.0 && options.drop_probability <= 1.0,
-             "MessageBus: drop probability out of [0,1]");
-  NWLB_CHECK_GE(options.max_delay_rounds, 0,
-                "MessageBus: negative max delay");
+  options.validate();
 }
 
 bool MessageBus::reachable(int from, int to) const {

@@ -58,6 +58,10 @@ struct BusOptions {
   double drop_probability = 0.0;  // Per-message loss (partitions excluded).
   int max_delay_rounds = 0;       // Extra delay in [0, max], drawn per message.
   std::uint64_t seed = 0xb05;
+
+  /// Throws std::invalid_argument on a drop probability outside [0, 1] or a
+  /// negative delay.  MessageBus's constructor calls this.
+  void validate() const;
 };
 
 struct BusStats {

@@ -1,6 +1,8 @@
 #include "dist/replica.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/check.h"
@@ -13,7 +15,20 @@ namespace {
 /// Gossip peers contacted per replica per round.
 constexpr int kGossipFanout = 2;
 
+/// `options`, checked before any member is built from them.
+ReplicaOptions validated(ReplicaOptions options) {
+  options.validate();
+  return options;
+}
+
 }  // namespace
+
+void ReplicaOptions::validate() const {
+  if (lease_ticks < 1)
+    throw std::invalid_argument("Replica: the lease must cover at least one tick, got " +
+                                std::to_string(lease_ticks));
+  (void)online::parse_estimator_spec(estimator_spec, estimator);
+}
 
 const char* to_string(Role role) {
   switch (role) {
@@ -29,7 +44,7 @@ Replica::Replica(int id, int num_replicas, const topo::Topology& topology,
                  const core::ControllerOptions& copts, ReplicaOptions options)
     : id_(id),
       num_replicas_(num_replicas),
-      options_(options),
+      options_(validated(options)),
       controller_(topology, initial_tm, copts),
       estimator_(online::make_estimator(
           options.estimator_spec, controller_.scenario().classes(),
@@ -39,8 +54,6 @@ Replica::Replica(int id, int num_replicas, const topo::Topology& topology,
       heard_(static_cast<std::size_t>(num_replicas)) {
   NWLB_CHECK(id >= 0 && id < num_replicas, "Replica: id ", id,
              " out of range for ", num_replicas, " replicas");
-  NWLB_CHECK_GE(options.lease_ticks, std::uint64_t{1},
-                "Replica: the lease must cover at least one tick");
 }
 
 void Replica::begin_interval(std::uint64_t tick, EstimatePartial own) {

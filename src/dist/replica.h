@@ -65,6 +65,10 @@ struct ReplicaOptions {
   std::string estimator_spec = "ewma";
   /// Defaults the spec's overrides apply on top of.
   online::EstimatorOptions estimator;
+
+  /// Throws std::invalid_argument on a lease of no tick or a spec that
+  /// parse_estimator_spec rejects.  Replica's constructor calls this.
+  void validate() const;
 };
 
 class Replica {

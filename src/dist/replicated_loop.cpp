@@ -1,6 +1,8 @@
 #include "dist/replicated_loop.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -8,19 +10,39 @@
 
 namespace nwlb::dist {
 
+namespace {
+
+/// `options`, checked before any member is built from them.
+ReplicatedLoopOptions validated(const ReplicatedLoopOptions& options) {
+  options.validate();
+  return options;
+}
+
+}  // namespace
+
+void ReplicatedLoopOptions::validate() const {
+  if (replicas < 1 || replicas > kMaxReplicas)
+    throw std::invalid_argument("ReplicatedControlLoop: replicas must be in [1, " +
+                                std::to_string(kMaxReplicas) + "], got " +
+                                std::to_string(replicas));
+  if (consensus_rounds < 1)
+    throw std::invalid_argument(
+        "ReplicatedControlLoop: consensus_rounds must be >= 1, got " +
+        std::to_string(consensus_rounds));
+  bus.validate();
+  replica.validate();
+}
+
 ReplicatedControlLoop::ReplicatedControlLoop(
     const topo::Topology& topology, const traffic::TrafficMatrix& initial_tm,
     const core::ControllerOptions& copts, sim::ReplaySimulator& sim,
     shim::ConfigBundle initial, ReplicatedLoopOptions options)
     : sim_(&sim),
-      options_(options),
+      options_(validated(options)),
       rounds_(std::max(options.consensus_rounds, options.replicas + 4)),
       bus_(options.replicas, options.bus),
       gate_(std::move(initial), options.rollout),
-      alive_(static_cast<std::size_t>(std::max(options.replicas, 0)), true) {
-  NWLB_CHECK(options.replicas >= 1 && options.replicas <= 32,
-             "ReplicatedControlLoop: replicas must be in [1, 32], got ",
-             options.replicas);
+      alive_(static_cast<std::size_t>(options.replicas), true) {
   core::ControllerOptions replica_copts = copts;
   replica_copts.metrics = nullptr;  // Telemetry is the loop's job (ctor doc).
   replicas_.reserve(static_cast<std::size_t>(options.replicas));

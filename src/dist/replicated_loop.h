@@ -49,6 +49,7 @@ class Registry;
 namespace nwlb::dist {
 
 struct ReplicatedLoopOptions {
+  static constexpr int kMaxReplicas = 32;  // A partition mask bit each.
   int replicas = 3;
 
   /// Synchronous bus rounds per control interval.  Raised internally to
@@ -68,6 +69,11 @@ struct ReplicatedLoopOptions {
   /// When set, every interval records nwlb_dist_* metrics.  Must outlive
   /// the loop.  Null = no telemetry.
   obs::Registry* metrics = nullptr;
+
+  /// Throws std::invalid_argument on replicas outside [1, kMaxReplicas],
+  /// rounds below 1, or bad `bus` or `replica` options.  The constructor
+  /// calls this.
+  void validate() const;
 };
 
 /// What one replicated control interval did.

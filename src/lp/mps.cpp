@@ -13,12 +13,12 @@ namespace {
 
 std::string var_label(const Model& model, int j) {
   const std::string& given = model.var_name(VarId{j});
-  return given.empty() ? "x" + std::to_string(j) : given;
+  return given.empty() ? std::string("x").append(std::to_string(j)) : given;
 }
 
 std::string row_label(const Model& model, int r) {
   const std::string& given = model.row_name(RowId{r});
-  return given.empty() ? "r" + std::to_string(r) : given;
+  return given.empty() ? std::string("r").append(std::to_string(r)) : given;
 }
 
 char sense_char(Sense s) {

@@ -81,8 +81,9 @@ class SignatureEngine {
                            std::size_t n) const {
     const std::uint32_t* const table = table_storage_.data() + table_offset_;
     const std::uint32_t* const out_count = out_count_.data();
+    const std::size_t full = n - n % 4;
     std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
+    for (; i < full; i += 4) {
       const std::string_view p0 = payloads[i], p1 = payloads[i + 1];
       const std::string_view p2 = payloads[i + 2], p3 = payloads[i + 3];
       std::uint32_t b0 = 0, b1 = 0, b2 = 0, b3 = 0;

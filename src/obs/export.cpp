@@ -141,8 +141,11 @@ std::string to_json(const Snapshot& snapshot, const std::vector<TraceEvent>& tra
       out += ",\"labels\":{";
       for (std::size_t l = 0; l < sample.labels.size(); ++l) {
         if (l > 0) out += ',';
-        out += "\"" + util::json_escape(sample.labels[l].first) + "\":\"" +
-               util::json_escape(sample.labels[l].second) + "\"";
+        out += '"';
+        out += util::json_escape(sample.labels[l].first);
+        out += "\":\"";
+        out += util::json_escape(sample.labels[l].second);
+        out += '"';
       }
       out += '}';
     }

@@ -136,24 +136,28 @@ struct ReplaySimulator::Shard {
   }
 };
 
+void ReplayOptions::validate() const {
+  if (replication_loss < 0.0 || replication_loss > 1.0)
+    // nwlb-lint: allow(no-throw-hot-path) -- construction, not replay.
+    throw std::invalid_argument("ReplaySimulator: loss probability out of [0,1]");
+  if (num_workers < 0)
+    // nwlb-lint: allow(no-throw-hot-path) -- construction, not replay.
+    throw std::invalid_argument("ReplaySimulator: negative worker count");
+  if (num_workers > kMaxWorkers)
+    // nwlb-lint: allow(no-throw-hot-path) -- construction, not replay.
+    throw std::invalid_argument("ReplaySimulator: " + std::to_string(num_workers) +
+                                " workers exceeds the cap of " +
+                                std::to_string(kMaxWorkers));
+  if (fail_open_headroom < 0.0 || fail_open_headroom > 1.0)
+    // nwlb-lint: allow(no-throw-hot-path) -- construction, not replay.
+    throw std::invalid_argument("ReplaySimulator: fail-open headroom out of [0,1]");
+}
+
 ReplaySimulator::ReplaySimulator(const core::ProblemInput& input,
                                  const shim::ConfigBundle& bundle,
                                  ReplayOptions options)
     : input_(&input), options_(options) {
-  if (options.replication_loss < 0.0 || options.replication_loss > 1.0)
-    // nwlb-lint: allow(no-throw-hot-path) -- construction, not replay.
-    throw std::invalid_argument("ReplaySimulator: loss probability out of [0,1]");
-  if (options.num_workers < 0)
-    // nwlb-lint: allow(no-throw-hot-path) -- construction, not replay.
-    throw std::invalid_argument("ReplaySimulator: negative worker count");
-  if (options.num_workers > ReplayOptions::kMaxWorkers)
-    // nwlb-lint: allow(no-throw-hot-path) -- construction, not replay.
-    throw std::invalid_argument("ReplaySimulator: " + std::to_string(options.num_workers) +
-                                " workers exceeds the cap of " +
-                                std::to_string(ReplayOptions::kMaxWorkers));
-  if (options.fail_open_headroom < 0.0 || options.fail_open_headroom > 1.0)
-    // nwlb-lint: allow(no-throw-hot-path) -- construction, not replay.
-    throw std::invalid_argument("ReplaySimulator: fail-open headroom out of [0,1]");
+  options.validate();
   if (static_cast<int>(bundle.configs.size()) != input.num_pops())
     // nwlb-lint: allow(no-throw-hot-path) -- construction, not replay.
     throw std::invalid_argument("ReplaySimulator: one config per PoP required");

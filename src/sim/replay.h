@@ -109,6 +109,10 @@ struct ReplayOptions {
   /// that the shim absorbs locally (per-session stateless admission draw),
   /// modelling a cap on emergency local processing.
   double fail_open_headroom = 0.5;
+
+  /// Throws std::invalid_argument on a loss or headroom outside [0, 1] or
+  /// workers outside [0, kMaxWorkers].  ReplaySimulator's constructor calls it.
+  void validate() const;
 };
 
 struct ReplayStats {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/controller.h"
@@ -341,6 +343,31 @@ TEST(ReplicatedLoop, ExportsDistMetrics) {
   EXPECT_EQ(registry.gauge("nwlb_dist_leader").value(), 0.0);
   EXPECT_EQ(registry.gauge("nwlb_dist_replicas_alive").value(), 3.0);
   EXPECT_GE(registry.gauge("nwlb_dist_generation").value(), 2.0);
+}
+
+TEST(ReplicatedLoopOptions, ValidateRejectsEachBadValue) {
+  ReplicatedLoopOptions edge;
+  edge.replicas = ReplicatedLoopOptions::kMaxReplicas;
+  edge.consensus_rounds = 1;
+  EXPECT_NO_THROW(edge.validate());
+
+  using Spoil = void (*)(ReplicatedLoopOptions&);
+  const std::vector<std::pair<const char*, Spoil>> spoils = {
+      {"replicas 0", [](ReplicatedLoopOptions& o) { o.replicas = 0; }},
+      {"replicas 33",
+       [](ReplicatedLoopOptions& o) { o.replicas = ReplicatedLoopOptions::kMaxReplicas + 1; }},
+      {"rounds 0", [](ReplicatedLoopOptions& o) { o.consensus_rounds = 0; }},
+      {"drop 1.5", [](ReplicatedLoopOptions& o) { o.bus.drop_probability = 1.5; }},
+      {"delay -1", [](ReplicatedLoopOptions& o) { o.bus.max_delay_rounds = -1; }},
+      {"lease 0", [](ReplicatedLoopOptions& o) { o.replica.lease_ticks = 0; }},
+      {"estimator bogus", [](ReplicatedLoopOptions& o) { o.replica.estimator_spec = "bogus"; }},
+      {"window 0", [](ReplicatedLoopOptions& o) { o.replica.estimator.window = 0; }},
+  };
+  for (const auto& [what, spoil] : spoils) {
+    ReplicatedLoopOptions options;
+    spoil(options);
+    EXPECT_THROW(options.validate(), std::invalid_argument) << what;
+  }
 }
 
 }  // namespace

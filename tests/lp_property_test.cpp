@@ -305,7 +305,10 @@ TEST_P(LpWarmEdits, WarmResolvesMatchTheOracle) {
       what = edit(4) + "+" + edit(rng.bernoulli(0.5) ? 0 : 3);
     } else {
       what = edit(rng.below(4));
-      if (rng.bernoulli(0.5)) what += "+" + edit(rng.below(4));
+      if (rng.bernoulli(0.5)) {
+        what += '+';
+        what += edit(rng.below(4));
+      }
     }
     last = solve_revised(model, {}, basis.empty() ? nullptr : &basis);
     expect_oracle_optimum(model, last, "step " + std::to_string(step) + " (" + what + ")");

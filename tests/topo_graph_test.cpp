@@ -36,7 +36,7 @@ TEST(Graph, RejectsBadEdges) {
 
 TEST(Graph, NeighborsSorted) {
   Graph g;
-  for (int i = 0; i < 5; ++i) g.add_node("n" + std::to_string(i));
+  for (int i = 0; i < 5; ++i) g.add_node(std::string("n").append(std::to_string(i)));
   g.add_edge(2, 4);
   g.add_edge(2, 0);
   g.add_edge(2, 3);
@@ -67,7 +67,7 @@ TEST(Graph, Connectivity) {
 TEST(Graph, NeighborhoodByHops) {
   // Path graph 0-1-2-3-4.
   Graph g;
-  for (int i = 0; i < 5; ++i) g.add_node("n" + std::to_string(i));
+  for (int i = 0; i < 5; ++i) g.add_node(std::string("n").append(std::to_string(i)));
   for (int i = 0; i < 4; ++i) g.add_edge(i, i + 1);
   EXPECT_EQ(g.neighborhood(0, 1), (std::vector<NodeId>{1}));
   EXPECT_EQ(g.neighborhood(0, 2), (std::vector<NodeId>{1, 2}));

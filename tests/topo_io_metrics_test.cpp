@@ -51,7 +51,7 @@ TEST(TopologyIo, DotContainsNodesAndEdges) {
 
 TEST(Metrics, LineGraph) {
   Graph g;
-  for (int i = 0; i < 5; ++i) g.add_node("n" + std::to_string(i));
+  for (int i = 0; i < 5; ++i) g.add_node(std::string("n").append(std::to_string(i)));
   for (int i = 0; i < 4; ++i) g.add_edge(i, i + 1);
   const Routing r(g);
   const GraphMetrics m = compute_metrics(r);
@@ -66,7 +66,7 @@ TEST(Metrics, LineGraph) {
 
 TEST(Metrics, TriangleIsFullyClustered) {
   Graph g;
-  for (int i = 0; i < 3; ++i) g.add_node("n" + std::to_string(i));
+  for (int i = 0; i < 3; ++i) g.add_node(std::string("n").append(std::to_string(i)));
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   g.add_edge(0, 2);

@@ -9,7 +9,7 @@ namespace {
 
 Graph path_graph(int n) {
   Graph g;
-  for (int i = 0; i < n; ++i) g.add_node("n" + std::to_string(i));
+  for (int i = 0; i < n; ++i) g.add_node(std::string("n").append(std::to_string(i)));
   for (int i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
   return g;
 }

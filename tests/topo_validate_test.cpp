@@ -27,7 +27,7 @@ std::string join(const std::vector<std::string>& violations) {
 // A 5-node graph with one cycle, so some pairs have multi-hop paths.
 Graph make_graph() {
   Graph g;
-  for (int i = 0; i < 5; ++i) g.add_node("n" + std::to_string(i));
+  for (int i = 0; i < 5; ++i) g.add_node(std::string("n").append(std::to_string(i)));
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   g.add_edge(2, 3);

@@ -11,7 +11,10 @@ namespace {
 using nwlb::util::json_escape;
 
 std::string quoted(const std::string& text) {
-  return "\"" + json_escape(text) + "\"";
+  std::string out = "\"";
+  out += json_escape(text);
+  out += '"';
+  return out;
 }
 
 }  // namespace

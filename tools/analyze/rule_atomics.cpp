@@ -17,6 +17,7 @@
 // Calls are paren-matched across lines, so formatting does not matter.
 #include <array>
 #include <string>
+#include <utility>
 
 #include "analyze/analyze.h"
 #include "analyze/rules.h"
@@ -151,14 +152,17 @@ class AtomicOrderRule : public Rule {
           if (!collect_arguments(file, li, after, arguments, end_line)) continue;
           const std::size_t named = count_orders(arguments);
           if (named < call.orders) {
-            sink.report(file, li, name(),
-                        "`" + std::string(call.method) + "` names " +
-                            std::to_string(named) + " of " +
-                            std::to_string(call.orders) +
-                            " required memory_order argument(s); the seq_cst "
-                            "default hides both cost and intent — say what "
-                            "you mean (std::memory_order_relaxed for plain "
-                            "counters)");
+            std::string message = "`";
+            message.append(call.method)
+                .append("` names ")
+                .append(std::to_string(named))
+                .append(" of ")
+                .append(std::to_string(call.orders))
+                .append(" required memory_order argument(s); the seq_cst "
+                        "default hides both cost and intent — say what "
+                        "you mean (std::memory_order_relaxed for plain "
+                        "counters)");
+            sink.report(file, li, name(), std::move(message));
             continue;
           }
           if (has_non_relaxed_order(arguments)) {
@@ -167,13 +171,15 @@ class AtomicOrderRule : public Rule {
                                       ji < file.raw.size();
                  ++ji)
               justified = line_justifies_order(file.raw[ji]);
-            if (!justified)
-              sink.report(file, li, name(),
-                          "`" + std::string(call.method) +
-                              "` uses a memory order stronger than relaxed "
-                              "without a `// nwlb-analyze: order(<why>)` "
-                              "justification — document the happens-before "
-                              "edge this order creates");
+            if (!justified) {
+              std::string message = "`";
+              message.append(call.method)
+                  .append("` uses a memory order stronger than relaxed "
+                          "without a `// nwlb-analyze: order(<why>)` "
+                          "justification — document the happens-before "
+                          "edge this order creates");
+              sink.report(file, li, name(), std::move(message));
+            }
           }
         }
       }

@@ -26,6 +26,7 @@
 // so the reviewed exemptions are greppable.
 #include <array>
 #include <string>
+#include <utility>
 
 #include "analyze/analyze.h"
 #include "analyze/rules.h"
@@ -107,14 +108,16 @@ class HotPathPurityRule : public Rule {
       if (first < line.size() && line[first] == '#') continue;
       for (const BannedToken& banned : kBanned) {
         if (!has_token(line, banned.token)) continue;
-        sink.report(file, i, name(),
-                    "`" + std::string(banned.token) + "` (" +
-                        std::string(banned.category) +
-                        ") in a `nwlb-lint: hot-path` file: " +
-                        std::string(category_consequence(banned.category)) +
-                        " dominates per-frame work — hoist it off the packet "
-                        "path, or annotate reviewed cold-path setup with "
-                        "`// nwlb-analyze: allow(hot-path-purity)`");
+        std::string message = "`";
+        message.append(banned.token)
+            .append("` (")
+            .append(banned.category)
+            .append(") in a `nwlb-lint: hot-path` file: ")
+            .append(category_consequence(banned.category))
+            .append(" dominates per-frame work — hoist it off the packet "
+                    "path, or annotate reviewed cold-path setup with "
+                    "`// nwlb-analyze: allow(hot-path-purity)`");
+        sink.report(file, i, name(), std::move(message));
       }
     }
   }

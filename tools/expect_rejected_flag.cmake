@@ -1,13 +1,19 @@
 # Runs `nwlbctl [<LEAD>] <FLAG> [<VALUE>]` and passes only when nwlbctl exits
 # non-zero with a message on stderr that names the flag and, when there is
 # one, the value.  LEAD is one leading argument that selects a run (say
-# --live); leave out VALUE for a flag that takes none.
+# --live); leave out VALUE for a flag that takes none.  With INLINE set, the
+# flag and the value go as one `<FLAG>=<VALUE>` token.
 #
 #   cmake -DNWLBCTL=<path> [-DLEAD=<arg>] -DFLAG=<--flag> [-DVALUE=<text>]
-#         -P expect_rejected_flag.cmake
-set(args ${LEAD} "${FLAG}")
-if(DEFINED VALUE)
-  list(APPEND args "${VALUE}")
+#         [-DINLINE=ON] -P expect_rejected_flag.cmake
+set(args ${LEAD})
+if(INLINE)
+  list(APPEND args "${FLAG}=${VALUE}")
+else()
+  list(APPEND args "${FLAG}")
+  if(DEFINED VALUE)
+    list(APPEND args "${VALUE}")
+  endif()
 endif()
 execute_process(COMMAND "${NWLBCTL}" ${args}
                 RESULT_VARIABLE code

@@ -10,6 +10,10 @@
 //   nwlbctl --list-topologies
 //   nwlbctl --topology Geant --arch replicate --dump-mps model.mps
 //           --dump-dot net.dot --show-configs
+//
+// One table, kFlags, names every flag, the runs that read it and how its
+// value parses.  The three loop runs share one Deployment, which checks every
+// flag's value before the bootstrap solve, and one closing check.
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -20,6 +24,7 @@
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/controller.h"
@@ -94,6 +99,9 @@ enum Mode : unsigned {
   kLive = 4,        // --live with one controller.
   kReplicated = 8,  // --live --replicas N, N > 1.
 };
+constexpr unsigned kAllRuns = kOneShot | kFailures | kLive | kReplicated;
+constexpr unsigned kLoops = kFailures | kLive | kReplicated;
+constexpr unsigned kLiveLoops = kLive | kReplicated;
 
 /// The run `opt` selects; run() dispatches on it.
 Mode mode_of(const CliOptions& opt) {
@@ -111,54 +119,110 @@ const char* mode_name(Mode mode) {
   return "";
 }
 
-/// A flag only some runs read; every flag not listed is read by every run.
-struct ModeFlag {
-  const char* flag;
-  unsigned modes;     // The runs that read it.
-  const char* needs;  // How to select one of them.
-};
-
-constexpr const char* kNeedsOneShot = "the one-shot solve (no --failures or --live)";
-constexpr const char* kNeedsLoop = "--failures or --live";
-constexpr const char* kNeedsReplicas = "--live --replicas N with N > 1";
-constexpr ModeFlag kModeFlags[] = {
-    {"--validate", kOneShot, kNeedsOneShot},
-    {"--show-configs", kOneShot, kNeedsOneShot},
-    {"--dump-mps", kOneShot, kNeedsOneShot},
-    {"--dump-dot", kOneShot, kNeedsOneShot},
-    {"--sessions", kFailures | kLive | kReplicated, kNeedsLoop},
-    {"--epochs", kFailures | kLive | kReplicated, kNeedsLoop},
-    {"--fail-open", kFailures | kLive | kReplicated, kNeedsLoop},
-    {"--fail-closed", kFailures | kLive | kReplicated, kNeedsLoop},
-    {"--headroom", kFailures | kLive | kReplicated, kNeedsLoop},
-    {"--workers", kFailures | kLive | kReplicated, kNeedsLoop},
-    {"--estimator", kLive | kReplicated, "--live"},
-    {"--window", kLive | kReplicated, "--live"},
-    {"--drain", kLive | kReplicated, "--live"},
-    {"--hurst", kLive | kReplicated, "--live"},
-    {"--replicas", kLive | kReplicated, "--live"},
-    {"--rounds", kReplicated, kNeedsReplicas},
-    {"--lease", kReplicated, kNeedsReplicas},
-    {"--drop", kReplicated, kNeedsReplicas},
-    {"--delay", kReplicated, kNeedsReplicas},
-};
-
-/// One flag as given on the command line, with its value when it takes one.
-struct GivenFlag {
-  std::string flag;
-  std::optional<std::string> value;
-};
-
-/// A flag the selected run never reads would be silently ignored: reject it.
-void reject_unread_flags(const CliOptions& opt, const std::vector<GivenFlag>& given) {
-  const Mode mode = mode_of(opt);
-  for (const GivenFlag& g : given)
-    for (const ModeFlag& m : kModeFlags)
-      if (g.flag == m.flag && (m.modes & mode) == 0)
-        throw std::invalid_argument(g.flag + (g.value ? " '" + *g.value + "'" : "") +
-                                    " needs " + m.needs + "; " + mode_name(mode) +
-                                    " never reads it");
+/// How to select one of the runs in `modes`.
+const char* how_to_select(unsigned modes) {
+  switch (modes) {
+    case kOneShot: return "the one-shot solve (no --failures or --live)";
+    case kLoops: return "--failures or --live";
+    case kLiveLoops: return "--live";
+    default: return "--live --replicas N with N > 1";
+  }
 }
+
+/// A flag's value, taken only when the flag's row reads one: from
+/// `--flag=value` or from the next token.
+struct Arg {
+  const std::string& flag;
+  std::optional<std::string> value;  // Inline, then whatever text() took.
+  int& i;
+  int argc;
+  char** argv;
+
+  std::string text() {
+    if (!value) {
+      if (i + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
+      value = argv[++i];
+    }
+    return *value;
+  }
+
+  /// A switch reads no value: `--live=false` would otherwise turn it on.
+  bool on() const {
+    if (value) throw std::invalid_argument(flag + " takes no value, got '" + *value + "'");
+    return true;
+  }
+
+  // A number takes its whole token: std::stoi and friends stop at the first
+  // bad character, so "2x" would run as 2 and "-5" would wrap to a huge
+  // unsigned count.
+  template <typename T>
+  T number() {
+    const std::string token = text();
+    T parsed{};
+    const char* const end = token.data() + token.size();
+    const auto [stop, error] = std::from_chars(token.data(), end, parsed);
+    bool ok = !token.empty() && error == std::errc{} && stop == end;
+    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(parsed);
+    const char* what = std::is_floating_point_v<T> ? "a finite number"
+                       : std::is_signed_v<T>       ? "an integer"
+                                                   : "a non-negative integer";
+    if (!ok) throw std::invalid_argument(flag + " needs " + what + ", got '" + token + "'");
+    return parsed;
+  }
+
+  /// A count lies in [lo, hi].  One below a positive floor names the floor;
+  /// any other miss names the whole range.
+  int count(int lo, int hi) {
+    const int n = number<int>();
+    if (n >= lo && n <= hi) return n;
+    std::string range = "a count from " + std::to_string(lo) + " to " + std::to_string(hi);
+    if (n < lo && lo > 0) range = "a count of at least " + std::to_string(lo);
+    throw std::invalid_argument(flag + " needs " + range + ", got '" + *value + "'");
+  }
+};
+
+/// One row per flag: its name, the runs that read it, how its value parses.
+struct Flag {
+  const char* name;
+  unsigned modes;
+  void (*set)(CliOptions& o, Arg& a);
+};
+
+constexpr int kMaxWorkers = sim::ReplayOptions::kMaxWorkers;
+constexpr int kMaxReplicas = dist::ReplicatedLoopOptions::kMaxReplicas;
+using O = CliOptions;
+constexpr Flag kFlags[] = {
+    {"--topology", kAllRuns, [](O& o, Arg& a) { o.topology = a.text(); }},
+    {"--topology-file", kAllRuns, [](O& o, Arg& a) { o.topology_file = a.text(); }},
+    {"--arch", kAllRuns, [](O& o, Arg& a) { o.arch = a.text(); }},
+    {"--mll", kAllRuns, [](O& o, Arg& a) { o.mll = a.number<double>(); }},
+    {"--dc", kAllRuns, [](O& o, Arg& a) { o.dc = a.number<double>(); }},
+    {"--placement", kAllRuns, [](O& o, Arg& a) { o.placement = a.text(); }},
+    {"--csv", kAllRuns, [](O& o, Arg& a) { o.csv = a.on(); }},
+    {"--show-configs", kOneShot, [](O& o, Arg& a) { o.show_configs = a.on(); }},
+    {"--validate", kOneShot, [](O& o, Arg& a) { o.validate = a.on(); }},
+    {"--dump-mps", kOneShot, [](O& o, Arg& a) { o.dump_mps = a.text(); }},
+    {"--dump-dot", kOneShot, [](O& o, Arg& a) { o.dump_dot = a.text(); }},
+    {"--metrics-out", kAllRuns, [](O& o, Arg& a) { o.metrics_out = a.text(); }},
+    {"--list-topologies", kAllRuns, [](O& o, Arg& a) { o.list_topologies = a.on(); }},
+    {"--failures", kAllRuns, [](O& o, Arg& a) { o.failures = a.text(); }},
+    {"--sessions", kLoops, [](O& o, Arg& a) { o.sessions = a.number<int>(); }},
+    {"--epochs", kLoops, [](O& o, Arg& a) { o.epochs = a.number<int>(); }},
+    {"--fail-open", kLoops, [](O& o, Arg& a) { o.fail_open = a.on(); }},
+    {"--fail-closed", kLoops, [](O& o, Arg& a) { o.fail_open = !a.on(); }},
+    {"--headroom", kLoops, [](O& o, Arg& a) { o.headroom = a.number<double>(); }},
+    {"--workers", kLoops, [](O& o, Arg& a) { o.workers = a.count(0, kMaxWorkers); }},
+    {"--live", kAllRuns, [](O& o, Arg& a) { o.live = a.on(); }},
+    {"--estimator", kLiveLoops, [](O& o, Arg& a) { o.estimator = a.text(); }},
+    {"--window", kLiveLoops, [](O& o, Arg& a) { o.estimator_window = a.number<int>(); }},
+    {"--drain", kLiveLoops, [](O& o, Arg& a) { o.drain = a.number<std::uint64_t>(); }},
+    {"--hurst", kLiveLoops, [](O& o, Arg& a) { o.hurst = a.number<double>(); }},
+    {"--replicas", kLiveLoops, [](O& o, Arg& a) { o.replicas = a.count(1, kMaxReplicas); }},
+    {"--rounds", kReplicated, [](O& o, Arg& a) { o.rounds = a.number<int>(); }},
+    {"--lease", kReplicated, [](O& o, Arg& a) { o.lease = a.number<std::uint64_t>(); }},
+    {"--drop", kReplicated, [](O& o, Arg& a) { o.drop = a.number<double>(); }},
+    {"--delay", kReplicated, [](O& o, Arg& a) { o.delay = a.number<int>(); }},
+};
 
 void print_usage() {
   std::cout <<
@@ -251,106 +315,40 @@ Examples:
 )";
 }
 
-// A numeric flag takes its whole token: std::stoi and friends stop at the
-// first bad character, so "2x" would run as 2 and "-5" would wrap to a huge
-// unsigned count.
-template <typename T>
-T parse_whole(const std::string& flag, const std::string& text, const char* what) {
-  T value{};
-  const char* const end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  bool ok = !text.empty() && error == std::errc{} && stop == end;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
-  if (!ok)
-    throw std::invalid_argument(flag + " needs " + what + ", got '" + text + "'");
-  return value;
-}
-
-int parse_int(const std::string& flag, const std::string& text) {
-  return parse_whole<int>(flag, text, "an integer");
-}
-
-std::uint64_t parse_u64(const std::string& flag, const std::string& text) {
-  return parse_whole<std::uint64_t>(flag, text, "a non-negative integer");
-}
-
-double parse_double(const std::string& flag, const std::string& text) {
-  return parse_whole<double>(flag, text, "a finite number");
-}
-
 std::optional<CliOptions> parse(int argc, char** argv) {
   CliOptions opt;
-  std::vector<GivenFlag> given;
+  std::vector<std::pair<const Flag*, std::optional<std::string>>> given;
   for (int i = 1; i < argc; ++i) {
-    const std::string raw = argv[i];
     // Accept both `--flag value` and `--flag=value`.
-    std::string arg = raw;
+    std::string name = argv[i];
     std::optional<std::string> inline_value;
-    if (raw.rfind("--", 0) == 0) {
-      if (const auto eq = raw.find('='); eq != std::string::npos) {
-        arg = raw.substr(0, eq);
-        inline_value = raw.substr(eq + 1);
+    if (name.rfind("--", 0) == 0) {
+      if (const auto eq = name.find('='); eq != std::string::npos) {
+        inline_value = name.substr(eq + 1);
+        name.resize(eq);
       }
     }
-    std::optional<std::string> taken;  // The value this flag consumed.
-    auto value = [&]() -> std::string {
-      if (inline_value) {
-        taken = inline_value;
-      } else {
-        if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
-        taken = argv[++i];
-      }
-      return *taken;
-    };
-    if (arg == "--topology") opt.topology = value();
-    else if (arg == "--topology-file") opt.topology_file = value();
-    else if (arg == "--arch") opt.arch = value();
-    else if (arg == "--mll") opt.mll = parse_double(arg, value());
-    else if (arg == "--dc") opt.dc = parse_double(arg, value());
-    else if (arg == "--placement") opt.placement = value();
-    else if (arg == "--csv") opt.csv = true;
-    else if (arg == "--show-configs") opt.show_configs = true;
-    else if (arg == "--validate") opt.validate = true;
-    else if (arg == "--dump-mps") opt.dump_mps = value();
-    else if (arg == "--dump-dot") opt.dump_dot = value();
-    else if (arg == "--metrics-out") opt.metrics_out = value();
-    else if (arg == "--list-topologies") opt.list_topologies = true;
-    else if (arg == "--failures") opt.failures = value();
-    else if (arg == "--sessions") opt.sessions = parse_int(arg, value());
-    else if (arg == "--epochs") opt.epochs = parse_int(arg, value());
-    else if (arg == "--fail-open") opt.fail_open = true;
-    else if (arg == "--fail-closed") opt.fail_open = false;
-    else if (arg == "--headroom") opt.headroom = parse_double(arg, value());
-    else if (arg == "--workers") {
-      opt.workers = parse_int(arg, value());
-      if (opt.workers < 0 || opt.workers > sim::ReplayOptions::kMaxWorkers)
-        throw std::invalid_argument(arg + " needs a count from 0 to " +
-                                    std::to_string(sim::ReplayOptions::kMaxWorkers) +
-                                    ", got '" + *taken + "'");
-    }
-    else if (arg == "--live") opt.live = true;
-    else if (arg == "--estimator") opt.estimator = value();
-    else if (arg == "--hurst") opt.hurst = parse_double(arg, value());
-    else if (arg == "--window") opt.estimator_window = parse_int(arg, value());
-    else if (arg == "--drain") opt.drain = parse_u64(arg, value());
-    else if (arg == "--replicas") {
-      opt.replicas = parse_int(arg, value());
-      if (opt.replicas < 1)
-        throw std::invalid_argument(arg + " needs a count of at least 1, got '" + *taken + "'");
-    }
-    else if (arg == "--rounds") opt.rounds = parse_int(arg, value());
-    else if (arg == "--lease") opt.lease = parse_u64(arg, value());
-    else if (arg == "--drop") opt.drop = parse_double(arg, value());
-    else if (arg == "--delay") opt.delay = parse_int(arg, value());
-    else if (arg == "--help" || arg == "-h") {
+    if (name == "--help" || name == "-h") {
       print_usage();
       return std::nullopt;
-    } else {
-      throw std::invalid_argument("unknown option '" + arg + "' (try --help)");
     }
-    given.push_back({arg, taken});
+    const Flag* flag = std::find_if(std::begin(kFlags), std::end(kFlags),
+                                    [&](const Flag& f) { return name == f.name; });
+    if (flag == std::end(kFlags))
+      throw std::invalid_argument("unknown option '" + name + "' (try --help)");
+    Arg arg{name, std::move(inline_value), i, argc, argv};
+    flag->set(opt, arg);
+    given.emplace_back(flag, std::move(arg.value));
   }
-  reject_unread_flags(opt, given);
+  // A flag the selected run never reads would be silently ignored: reject it.
+  const Mode mode = mode_of(opt);
+  for (const auto& [flag, value] : given) {
+    if ((flag->modes & mode) != 0) continue;
+    std::string message = flag->name;
+    if (value) message.append(" '").append(*value).append("'");
+    message.append(" needs ").append(how_to_select(flag->modes)).append("; ");
+    throw std::invalid_argument(message.append(mode_name(mode)).append(" never reads it"));
+  }
   return opt;
 }
 
@@ -433,50 +431,143 @@ bool same_failures(const core::FailureSet& a, const core::FailureSet& b) {
          sorted(a.failed_links) == sorted(b.failed_links);
 }
 
+/// What the three loop runs share: the gravity provisioning matrix, the
+/// controller knobs, the fault schedule, the --hurst burst process, the
+/// loop options, the bootstrap epoch, the simulator that runs it and the
+/// scanner-free trace generator.  The constructor checks every value the
+/// flags describe with the library's own validators before the bootstrap
+/// solve.  The simulator keeps pointers to `input` and `schedule`, so a
+/// deployment stays where it is built.
+struct Deployment {
+  Deployment(const CliOptions& opt, const topo::Topology& topology)
+      : opt(opt), topology(topology), tm(traffic::gravity_matrix(
+            topology.graph, traffic::paper_total_sessions(topology.graph.num_nodes()))) {
+    if (opt.sessions <= 0 || opt.epochs <= 0)
+      throw std::invalid_argument("--sessions and --epochs must be positive");
+    copts.architecture = parse_arch(opt.arch);
+    copts.scenario.max_link_load = opt.mll;
+    copts.scenario.dc_factor = opt.dc;
+    copts.scenario.placement = parse_placement(opt.placement);
+    copts.lp.max_seconds = 10.0;  // One runaway solve degrades, never stalls.
+
+    if (!opt.failures.empty()) schedule = load_schedule(opt.failures);
+    const sim::ReplayOptions ropts{
+        .num_workers = opt.workers,
+        .failures = schedule ? &*schedule : nullptr,
+        .degrade = opt.fail_open ? sim::DegradePolicy::kFailOpen : sim::DegradePolicy::kFailClosed,
+        .fail_open_headroom = opt.headroom};
+    ropts.validate();
+    if (opt.hurst != 0.0)  // 0 = stationary; any other value must be a Hurst exponent.
+      bursts.emplace(tm, opt.epochs, traffic::SelfSimilarOptions{.hurst = opt.hurst});
+
+    live.estimator = opt.estimator;
+    live.estimator_options = {.window = opt.estimator_window, .scale_to_total = tm.total()};
+    live.rollout.drain_sessions = opt.drain;
+    live.metrics = &registry;
+    replicated.replicas = opt.replicas;
+    replicated.consensus_rounds = opt.rounds;
+    replicated.bus = {.drop_probability = opt.drop, .max_delay_rounds = opt.delay};
+    replicated.replica.lease_ticks = opt.lease;
+    replicated.replica.estimator_spec = live.estimator;
+    replicated.replica.estimator = live.estimator_options;
+    replicated.rollout = live.rollout;
+    replicated.faults = ropts.failures;
+    replicated.metrics = &registry;
+    const Mode mode = mode_of(opt);
+    if (mode == kLive) live.validate();
+    if (mode == kReplicated) replicated.validate();
+
+    // Every value is checked: solve the bootstrap epoch.  The replicated
+    // loop's bootstrap controller is a throwaway built from the same
+    // constants as every replica, and records nothing.
+    if (mode != kReplicated) copts.metrics = &registry;
+    controller.emplace(topology, tm, copts);
+    initial = controller->run({.tm = &tm});
+    input = controller->scenario().problem(copts.architecture);
+    simulator.emplace(input, initial.bundle, ropts);
+    generator.emplace(input.classes, sim::TraceConfig{.scanners = 0}, 77);
+  }
+  Deployment(const Deployment&) = delete;
+  Deployment& operator=(const Deployment&) = delete;
+
+  /// Ends the header line every loop run starts with: the burst process,
+  /// the schedule, a blank line.
+  void end_header() const {
+    if (bursts) std::cout << " hurst=" << std::to_string(opt.hurst);
+    if (schedule) std::cout << " schedule={\n" << schedule->to_string() << "}";
+    std::cout << "\n\n";
+  }
+
+  /// One interval's sessions: the stationary class mix, or — under --hurst
+  /// — the window's self-similar mix with volume tracking the burst process.
+  std::vector<sim::SessionSpec> interval_sessions(int w) {
+    if (!bursts) return generator->generate(opt.sessions);
+    const traffic::TrafficMatrix win = bursts->window(w % bursts->num_windows());
+    std::vector<double> weights;
+    weights.reserve(input.classes.size());
+    for (const auto& cls : input.classes)
+      weights.push_back(win.volume(cls.ingress, cls.egress));
+    const double mean_total = bursts->mean().total();
+    const double burst_scale = mean_total > 0.0 ? win.total() / mean_total : 1.0;
+    const int count = static_cast<int>(
+        std::llround(static_cast<double>(opt.sessions) * burst_scale));
+    return generator->generate_weighted(std::max(count, 1), weights);
+  }
+
+  /// The closing check every loop run ends with: each replayed session
+  /// rode exactly one generation (exit 2 otherwise), then --metrics-out.
+  int finish() {
+    const sim::ReplayStats stats = simulator->stats();
+    const sim::RolloutStats rollout = simulator->rollout_stats();
+    if (rollout.sessions_current_generation + rollout.sessions_draining_generation !=
+            stats.sessions_replayed ||
+        rollout.sessions_unassigned != 0) {
+      std::cerr << "nwlbctl: rollout conservation violated\n";
+      return 2;
+    }
+    if (opt.metrics_out.empty()) return 0;
+    simulator->export_metrics(registry);
+    return write_metrics(registry, opt.metrics_out);
+  }
+
+  const CliOptions& opt;
+  const topo::Topology& topology;
+  const traffic::TrafficMatrix tm;
+  obs::Registry registry;
+  core::ControllerOptions copts;
+  // One schedule serves both planes: the simulator consumes the
+  // crash/blackhole/linkdown events, the replicated loop the
+  // controller_crash/partition ones.
+  std::optional<sim::FailureSchedule> schedule;
+  std::optional<traffic::SelfSimilarTraffic> bursts;
+  online::ControlLoopOptions live;         // Read by the --live loop.
+  dist::ReplicatedLoopOptions replicated;  // Read by the replicated loop.
+  std::optional<core::Controller> controller;
+  core::EpochResult initial;
+  core::ProblemInput input;
+  std::optional<sim::ReplaySimulator> simulator;
+  std::optional<sim::TraceGenerator> generator;
+};
+
 /// The failure-aware control loop (§3 under faults): replay one control
 /// window, read the mirror-health verdicts and keepalive reports, respond
 /// tier-1 (instant LP-free patch) the window a failure appears, tier-2
 /// (budgeted warm-started re-solve over the survivors) the window after,
 /// and re-solve back to the healthy optimum on recovery.
-int run_failures(const CliOptions& opt, const topo::Topology& topology) {
-  if (opt.sessions <= 0 || opt.epochs <= 0)
-    throw std::invalid_argument("--sessions and --epochs must be positive");
-  const auto tm = traffic::gravity_matrix(
-      topology.graph, traffic::paper_total_sessions(topology.graph.num_nodes()));
-  core::ControllerOptions copts;
-  copts.architecture = parse_arch(opt.arch);
-  copts.scenario.max_link_load = opt.mll;
-  copts.scenario.dc_factor = opt.dc;
-  copts.scenario.placement = parse_placement(opt.placement);
-  copts.lp.max_seconds = 10.0;  // One runaway solve degrades, never stalls.
-  obs::Registry registry;
-  copts.metrics = &registry;
-  core::Controller controller(topology, tm, copts);
-  const core::EpochResult initial = controller.run({.tm = &tm});
-  const core::ProblemInput input = controller.scenario().problem(copts.architecture);
-
-  const sim::FailureSchedule schedule = load_schedule(opt.failures);
-  sim::ReplayOptions ropts;
-  ropts.failures = &schedule;
-  ropts.degrade = opt.fail_open ? sim::DegradePolicy::kFailOpen
-                                : sim::DegradePolicy::kFailClosed;
-  ropts.fail_open_headroom = opt.headroom;
-  ropts.num_workers = opt.workers;
-  sim::ReplaySimulator simulator(input, initial.bundle, ropts);
-  sim::TraceConfig trace_config;
-  trace_config.scanners = 0;
-  sim::TraceGenerator generator(input.classes, trace_config, 77);
-
-  std::cout << "topology=" << topology.name << " arch=" << opt.arch << " policy="
-            << (opt.fail_open ? "fail-open" : "fail-closed") << " schedule={"
-            << "\n" << schedule.to_string() << "}\n\n";
+int run_failures(Deployment& d) {
+  const CliOptions& opt = d.opt;
+  sim::ReplaySimulator& simulator = *d.simulator;
+  core::Controller& controller = *d.controller;
+  std::cout << "topology=" << d.topology.name << " arch=" << opt.arch << " policy="
+            << (opt.fail_open ? "fail-open" : "fail-closed");
+  d.end_header();
 
   util::Table table({"Window", "Sessions", "Coverage", "DownMirrors", "Action"});
   core::FailureSet active;
   bool pending_resolve = false;
   for (int w = 0; w < opt.epochs; ++w) {
     const sim::ReplayStats before = simulator.stats();
-    simulator.replay(generator.generate(opt.sessions), generator);
+    simulator.replay(d.interval_sessions(w), *d.generator);
     const sim::ReplayStats after = simulator.stats();
     const std::uint64_t covered = after.stateful_covered - before.stateful_covered;
     const std::uint64_t missed = after.stateful_missed - before.stateful_missed;
@@ -490,7 +581,7 @@ int run_failures(const CliOptions& opt, const topo::Topology& topology) {
     // the next window starts from).
     core::FailureSet detected;
     detected.down_nodes = simulator.down_mirrors();
-    for (const int node : schedule.failed_nodes_at(simulator.next_session_index()))
+    for (const int node : d.schedule->failed_nodes_at(simulator.next_session_index()))
       if (!detected.node_down(node)) detected.down_nodes.push_back(node);
 
     std::string action = "none";
@@ -501,15 +592,14 @@ int run_failures(const CliOptions& opt, const topo::Topology& topology) {
         action = "patch";
         pending_resolve = true;  // Tier 2 lands next control period.
       } else {
-        const core::EpochResult recovered = controller.run({.tm = &tm});
-        simulator.install_bundle(recovered.bundle);
+        simulator.install_bundle(controller.run({.tm = &d.tm}).bundle);
         action = "resolve:recovered";
         pending_resolve = false;
       }
       active = detected;
     } else if (pending_resolve && !detected.empty()) {
       const core::EpochResult resolved =
-          controller.run({.tm = &tm, .failures = detected});
+          controller.run({.tm = &d.tm, .failures = detected});
       simulator.install_bundle(resolved.bundle);
       action = resolved.degraded
                    ? "resolve:" + core::to_string(resolved.degraded_reasons)
@@ -519,7 +609,7 @@ int run_failures(const CliOptions& opt, const topo::Topology& topology) {
 
     std::string down;
     for (const int node : detected.down_nodes)
-      down += (down.empty() ? "" : " ") + std::to_string(node);
+      down.append(down.empty() ? "" : " ").append(std::to_string(node));
     table.row()
         .cell(w)
         .cell(static_cast<long long>(after.sessions_replayed - before.sessions_replayed))
@@ -536,40 +626,7 @@ int run_failures(const CliOptions& opt, const topo::Topology& topology) {
             << " crash_skipped=" << final_stats.crash_skipped_packets
             << " fail_open=" << final_stats.fail_open_packets
             << " degraded_skipped=" << final_stats.degraded_skipped_packets << "\n";
-  if (!opt.metrics_out.empty()) {
-    simulator.export_metrics(registry);
-    return write_metrics(registry, opt.metrics_out);
-  }
-  return 0;
-}
-
-/// --hurst: the burst process the live loops draw interval traffic from.
-std::optional<traffic::SelfSimilarTraffic> make_bursts(
-    const CliOptions& opt, const traffic::TrafficMatrix& tm) {
-  if (opt.hurst <= 0.0) return std::nullopt;
-  traffic::SelfSimilarOptions ssopts;
-  ssopts.hurst = opt.hurst;
-  return traffic::SelfSimilarTraffic(tm, opt.epochs, ssopts);
-}
-
-/// One interval's sessions: the stationary class mix, or — under --hurst —
-/// the window's self-similar mix with volume tracking the burst process.
-std::vector<sim::SessionSpec> interval_sessions(
-    sim::TraceGenerator& generator,
-    const std::vector<traffic::TrafficClass>& classes,
-    const std::optional<traffic::SelfSimilarTraffic>& bursts, int base_sessions,
-    int w) {
-  if (!bursts) return generator.generate(base_sessions);
-  const traffic::TrafficMatrix win = bursts->window(w % bursts->num_windows());
-  std::vector<double> weights;
-  weights.reserve(classes.size());
-  for (const auto& cls : classes)
-    weights.push_back(win.volume(cls.ingress, cls.egress));
-  const double mean_total = bursts->mean().total();
-  const double burst_scale = mean_total > 0.0 ? win.total() / mean_total : 1.0;
-  const int count = static_cast<int>(
-      std::llround(static_cast<double>(base_sessions) * burst_scale));
-  return generator.generate_weighted(std::max(count, 1), weights);
+  return d.finish();
 }
 
 /// --live --replicas=N: the same estimate -> epoch -> rollout pipeline run
@@ -577,71 +634,20 @@ std::vector<sim::SessionSpec> interval_sessions(
 /// gossip over a lossy simulated bus, only the committed-lease leader
 /// emits generations, every install passes the fenced gate, and
 /// controller_crash / partition events from --failures drive failover.
-int run_replicated(const CliOptions& opt, const topo::Topology& topology) {
-  if (opt.sessions <= 0 || opt.epochs <= 0)
-    throw std::invalid_argument("--sessions and --epochs must be positive");
-  const auto tm = traffic::gravity_matrix(
-      topology.graph, traffic::paper_total_sessions(topology.graph.num_nodes()));
-  core::ControllerOptions copts;
-  copts.architecture = parse_arch(opt.arch);
-  copts.scenario.max_link_load = opt.mll;
-  copts.scenario.dc_factor = opt.dc;
-  copts.scenario.placement = parse_placement(opt.placement);
-  copts.lp.max_seconds = 10.0;  // One runaway solve degrades, never stalls.
-  obs::Registry registry;
-
-  // Bootstrap epoch from a throwaway controller built from the same
-  // deployment constants as every replica.
-  core::Controller bootstrap(topology, tm, copts);
-  const core::EpochResult initial = bootstrap.run({.tm = &tm});
-  const core::ProblemInput input = bootstrap.scenario().problem(copts.architecture);
-
-  // One schedule serves both planes: the simulator consumes the
-  // crash/blackhole/linkdown events, the replicated loop the
-  // controller_crash/partition ones.
-  std::optional<sim::FailureSchedule> schedule;
-  if (!opt.failures.empty()) schedule = load_schedule(opt.failures);
-  sim::ReplayOptions ropts;
-  if (schedule) ropts.failures = &*schedule;
-  ropts.degrade = opt.fail_open ? sim::DegradePolicy::kFailOpen
-                                : sim::DegradePolicy::kFailClosed;
-  ropts.fail_open_headroom = opt.headroom;
-  ropts.num_workers = opt.workers;
-  sim::ReplaySimulator simulator(input, initial.bundle, ropts);
-  sim::TraceConfig trace_config;
-  trace_config.scanners = 0;
-  sim::TraceGenerator generator(input.classes, trace_config, 77);
-
-  dist::ReplicatedLoopOptions dopts;
-  dopts.replicas = opt.replicas;
-  dopts.consensus_rounds = opt.rounds;
-  dopts.bus.drop_probability = opt.drop;
-  dopts.bus.max_delay_rounds = opt.delay;
-  dopts.replica.lease_ticks = opt.lease;
-  dopts.replica.estimator_spec = opt.estimator;
-  dopts.replica.estimator.window = opt.estimator_window;
-  dopts.replica.estimator.scale_to_total = tm.total();
-  dopts.rollout.drain_sessions = opt.drain;
-  if (schedule) dopts.faults = &*schedule;
-  dopts.metrics = &registry;
-  dist::ReplicatedControlLoop loop(topology, tm, copts, simulator,
-                                   initial.bundle, dopts);
-
-  const std::optional<traffic::SelfSimilarTraffic> bursts = make_bursts(opt, tm);
-
-  std::cout << "topology=" << topology.name << " arch=" << opt.arch
+int run_replicated(Deployment& d) {
+  const CliOptions& opt = d.opt;
+  dist::ReplicatedControlLoop loop(d.topology, d.tm, d.copts, *d.simulator,
+                                   d.initial.bundle, d.replicated);
+  std::cout << "topology=" << d.topology.name << " arch=" << opt.arch
             << " replicas=" << opt.replicas << " lease=" << opt.lease
-            << " drop=" << opt.drop << " estimator=" << opt.estimator
-            << (opt.hurst > 0.0 ? " hurst=" + std::to_string(opt.hurst) : "")
-            << (schedule ? " schedule={\n" + schedule->to_string() + "}" : "")
-            << "\n\n";
+            << " drop=" << opt.drop << " estimator=" << opt.estimator;
+  d.end_header();
 
   util::Table table({"Interval", "Sessions", "Leader", "Term", "Gen", "Rollout",
                      "Alive", "Heard", "Epoch"});
   for (int w = 0; w < opt.epochs; ++w) {
-    const dist::ReplicatedIntervalReport report = loop.run_interval(
-        interval_sessions(generator, input.classes, bursts, opt.sessions, w),
-        generator);
+    const dist::ReplicatedIntervalReport report =
+        loop.run_interval(d.interval_sessions(w), *d.generator);
     std::string rollout = "-";
     if (report.install_attempted)
       rollout = report.rollout.installed ? "install" : "skip";
@@ -665,85 +671,35 @@ int run_replicated(const CliOptions& opt, const topo::Topology& topology) {
   }
   emit(table, opt.csv);
 
-  const sim::ReplayStats final_stats = simulator.stats();
-  const sim::RolloutStats rollout = simulator.rollout_stats();
+  const sim::ReplayStats final_stats = d.simulator->stats();
+  const sim::RolloutStats rollout = d.simulator->rollout_stats();
   std::cout << "\nsessions=" << final_stats.sessions_replayed
             << " coverage=" << final_stats.coverage()
             << " active_generation=" << rollout.active_generation
             << " rollouts=" << rollout.rollouts_installed
             << " unassigned=" << rollout.sessions_unassigned << "\n";
-  if (rollout.sessions_current_generation + rollout.sessions_draining_generation !=
-          final_stats.sessions_replayed ||
-      rollout.sessions_unassigned != 0) {
-    std::cerr << "nwlbctl: rollout conservation violated\n";
-    return 2;
-  }
-  if (!opt.metrics_out.empty()) {
-    simulator.export_metrics(registry);
-    return write_metrics(registry, opt.metrics_out);
-  }
-  return 0;
+  return d.finish();
 }
 
 /// The online control loop (--live): after the bootstrap epoch the oracle
 /// matrix is never consulted again — each interval the loop replays
 /// traffic, folds the data plane's ingress counters into an EWMA estimate,
 /// re-optimizes, and rolls the fresh generation out make-before-break.
-int run_live(const CliOptions& opt, const topo::Topology& topology) {
-  if (opt.sessions <= 0 || opt.epochs <= 0)
-    throw std::invalid_argument("--sessions and --epochs must be positive");
-  const auto tm = traffic::gravity_matrix(
-      topology.graph, traffic::paper_total_sessions(topology.graph.num_nodes()));
-  core::ControllerOptions copts;
-  copts.architecture = parse_arch(opt.arch);
-  copts.scenario.max_link_load = opt.mll;
-  copts.scenario.dc_factor = opt.dc;
-  copts.scenario.placement = parse_placement(opt.placement);
-  copts.lp.max_seconds = 10.0;  // One runaway solve degrades, never stalls.
-  obs::Registry registry;
-  copts.metrics = &registry;
-  core::Controller controller(topology, tm, copts);
-  const core::EpochResult initial = controller.run({.tm = &tm});
-  const core::ProblemInput input = controller.scenario().problem(copts.architecture);
-
-  // --failures composes with --live: faults fire while the estimator-driven
-  // loop is in charge of both detection (mirror health) and response.
-  std::optional<sim::FailureSchedule> schedule;
-  if (!opt.failures.empty()) schedule = load_schedule(opt.failures);
-  sim::ReplayOptions ropts;
-  if (schedule) ropts.failures = &*schedule;
-  ropts.degrade = opt.fail_open ? sim::DegradePolicy::kFailOpen
-                                : sim::DegradePolicy::kFailClosed;
-  ropts.fail_open_headroom = opt.headroom;
-  ropts.num_workers = opt.workers;
-  sim::ReplaySimulator simulator(input, initial.bundle, ropts);
-  sim::TraceConfig trace_config;
-  trace_config.scanners = 0;
-  sim::TraceGenerator generator(input.classes, trace_config, 77);
-
-  online::ControlLoopOptions lopts;
-  lopts.estimator = opt.estimator;
-  lopts.estimator_options.window = opt.estimator_window;
-  lopts.estimator_options.scale_to_total = tm.total();
-  lopts.rollout.drain_sessions = opt.drain;
-  lopts.metrics = &registry;
-  online::ControlLoop loop(controller, simulator, initial.bundle, lopts);
-
-  const std::optional<traffic::SelfSimilarTraffic> bursts = make_bursts(opt, tm);
-
-  std::cout << "topology=" << topology.name << " arch=" << opt.arch
+/// --failures composes with --live: faults fire while the estimator-driven
+/// loop is in charge of both detection (mirror health) and response.
+int run_live(Deployment& d) {
+  const CliOptions& opt = d.opt;
+  online::ControlLoop loop(*d.controller, *d.simulator, d.initial.bundle, d.live);
+  std::cout << "topology=" << d.topology.name << " arch=" << opt.arch
             << " live estimator=" << opt.estimator
-            << " window=" << opt.estimator_window << " drain=" << opt.drain
-            << (opt.hurst > 0.0 ? " hurst=" + std::to_string(opt.hurst) : "")
-            << (schedule ? " schedule={\n" + schedule->to_string() + "}" : "")
-            << "\n\n";
+            << " window=" << opt.estimator_window << " drain=" << opt.drain;
+  d.end_header();
 
   util::Table table(
       {"Interval", "Sessions", "EstTotal", "Gen", "Rollout", "Churn", "Epoch"});
   for (int w = 0; w < opt.epochs; ++w) {
-    const online::IntervalReport report = loop.run_interval(
-        interval_sessions(generator, input.classes, bursts, opt.sessions, w),
-        generator);
+    const online::IntervalReport report =
+        loop.run_interval(d.interval_sessions(w), *d.generator);
     table.row()
         .cell(w)
         .cell(static_cast<long long>(report.sessions_replayed))
@@ -757,8 +713,8 @@ int run_live(const CliOptions& opt, const topo::Topology& topology) {
   }
   emit(table, opt.csv);
 
-  const sim::ReplayStats final_stats = simulator.stats();
-  const sim::RolloutStats rollout = simulator.rollout_stats();
+  const sim::ReplayStats final_stats = d.simulator->stats();
+  const sim::RolloutStats rollout = d.simulator->rollout_stats();
   std::cout << "\nsessions=" << final_stats.sessions_replayed
             << " coverage=" << final_stats.coverage()
             << " active_generation=" << rollout.active_generation
@@ -766,49 +722,12 @@ int run_live(const CliOptions& opt, const topo::Topology& topology) {
             << " retired=" << rollout.generations_retired
             << " draining_sessions=" << rollout.sessions_draining_generation
             << " unassigned=" << rollout.sessions_unassigned << "\n";
-  // Hitless invariant: every session rode exactly one generation.
-  if (rollout.sessions_current_generation + rollout.sessions_draining_generation !=
-          final_stats.sessions_replayed ||
-      rollout.sessions_unassigned != 0) {
-    std::cerr << "nwlbctl: rollout conservation violated\n";
-    return 2;
-  }
-  if (!opt.metrics_out.empty()) {
-    simulator.export_metrics(registry);
-    return write_metrics(registry, opt.metrics_out);
-  }
-  return 0;
+  return d.finish();
 }
 
-int run(const CliOptions& opt) {
-  if (opt.list_topologies) {
-    util::Table table({"Name", "PoPs", "Links", "Diameter"});
-    for (const auto& t : topo::all_topologies()) {
-      const topo::Routing routing(t.graph);
-      const auto metrics = topo::compute_metrics(routing);
-      table.row().cell(t.name).cell(metrics.num_nodes).cell(metrics.num_edges).cell(
-          metrics.diameter);
-    }
-    emit(table, opt.csv);
-    return 0;
-  }
-
-  topo::Topology topology = [&] {
-    if (!opt.topology_file.empty()) {
-      std::ifstream in(opt.topology_file);
-      if (!in) throw std::invalid_argument("cannot open " + opt.topology_file);
-      return topo::read_topology(in);
-    }
-    return topo::topology_by_name(opt.topology);
-  }();
-
-  switch (mode_of(opt)) {
-    case kReplicated: return run_replicated(opt, topology);
-    case kLive: return run_live(opt, topology);
-    case kFailures: return run_failures(opt, topology);
-    case kOneShot: break;
-  }
-
+/// The one-shot solve: the assignment, the per-node load table and the
+/// optional validators, configs, dumps and metrics.
+int run_one_shot(const CliOptions& opt, const topo::Topology& topology) {
   std::ofstream mps_out;
   std::ofstream dot_out;
   if (!opt.dump_mps.empty() && open_dump(mps_out, "--dump-mps", opt.dump_mps) != 0) return 1;
@@ -919,6 +838,36 @@ int run(const CliOptions& opt) {
     return write_metrics(registry, opt.metrics_out);
   }
   return 0;
+}
+
+int run(const CliOptions& opt) {
+  if (opt.list_topologies) {
+    util::Table table({"Name", "PoPs", "Links", "Diameter"});
+    for (const auto& t : topo::all_topologies()) {
+      const topo::Routing routing(t.graph);
+      const auto metrics = topo::compute_metrics(routing);
+      table.row().cell(t.name).cell(metrics.num_nodes).cell(metrics.num_edges).cell(
+          metrics.diameter);
+    }
+    emit(table, opt.csv);
+    return 0;
+  }
+
+  const topo::Topology topology = [&] {
+    if (!opt.topology_file.empty()) {
+      std::ifstream in(opt.topology_file);
+      if (!in) throw std::invalid_argument("cannot open " + opt.topology_file);
+      return topo::read_topology(in);
+    }
+    return topo::topology_by_name(opt.topology);
+  }();
+
+  const Mode mode = mode_of(opt);
+  if (mode == kOneShot) return run_one_shot(opt, topology);
+  Deployment deployment(opt, topology);
+  if (mode == kReplicated) return run_replicated(deployment);
+  if (mode == kLive) return run_live(deployment);
+  return run_failures(deployment);
 }
 
 }  // namespace
