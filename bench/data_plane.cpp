@@ -12,10 +12,11 @@
 //      replay, verifying the two produce byte-identical ReplayStats.
 //
 //   3. signature engine ns/byte — the baseline node-per-state Aho–Corasick
-//      vs the flat premultiplied table, single-stream and 4-lane batch; the
-//      batch must be >= 2x baseline.  Replay scans in groups of four: each
-//      full group of a session direction's packets through the batch, the
-//      last one to three packets single-stream.
+//      vs the flat premultiplied table, single-stream and batched four,
+//      three and two lanes wide; the 4-lane batch must be >= 2x baseline.
+//      Replay streams a session's packets, forward then reverse, through
+//      the batch: each group of four, then the one to three the session
+//      ends with (three or two lanes wide; a lone packet single-stream).
 //   4. replay headline — sessions/sec and payload bytes/sec of the
 //      sharded replay on a probe-heavy trace (16 B payloads, one packet
 //      per direction), with a worker-scaling table.  The
@@ -106,12 +107,12 @@ int main() {
   const int lp_budget_sec = util::env_int("NWLB_LP_BUDGET_SEC", 30);
   std::uint64_t checksum = 0;  // Defeats dead-code elimination of the loops.
 
-  // --- 0. Signature engine ns/byte: baseline nodes vs flat table vs
-  // 4-lane batch (replay scans each session direction in groups of four
-  // through the batch). ---
-  util::Table ac_table({"PayloadB", "BaselineNsB", "FlatNsB", "BatchNsB", "FlatX",
-                        "BatchX"});
-  double ac_speedup = 0.0;  // Baseline time / batch time over all bytes.
+  // --- 0. Signature engine ns/byte: baseline nodes vs flat table vs the
+  // batch at four, three and two lanes (replay hands it each group of a
+  // session's packets: four, or the one to three the session ends with). ---
+  util::Table ac_table({"PayloadB", "BaselineNsB", "FlatNsB", "BatchNsB", "Batch3NsB",
+                        "Batch2NsB", "FlatX", "BatchX"});
+  double ac_speedup = 0.0;  // Baseline time / 4-lane batch time over all bytes.
   {
     const std::vector<std::string> rules = nids::SignatureEngine::default_rules();
     const nids::SignatureEngine flat_engine(rules);
@@ -130,7 +131,6 @@ int main() {
         for (auto& ch : payloads[i]) ch = static_cast<char>('a' + rng.below(17));
         views[i] = payloads[i];
       }
-      std::vector<std::size_t> counts(kPayloads);
       const double total_bytes =
           static_cast<double>(payload_bytes) * static_cast<double>(kPayloads) * ac_reps;
 
@@ -146,20 +146,33 @@ int main() {
           checksum += flat_engine.count_matches(payload);
       const double flat_sec = seconds_since(flat_start);
 
-      const auto batch_start = std::chrono::steady_clock::now();
-      for (int r = 0; r < ac_reps; ++r) {
-        flat_engine.count_matches_batch(views.data(), counts.data(), kPayloads);
-        checksum += counts[kPayloads - 1];
-      }
-      const double batch_sec = seconds_since(batch_start);
-
-      // Cross-check the kernels against each other on this corpus.
-      for (std::size_t i = 0; i < kPayloads; ++i) {
-        if (counts[i] != baseline_engine.count_matches(views[i]) ||
-            counts[i] != flat_engine.count_matches(views[i])) {
-          std::cerr << "FAIL: signature engines disagree on payload " << i << "\n";
-          return 1;
+      // The batch in groups of `lanes` over as many payloads as fill whole
+      // groups: ns per byte, after cross-checking every count against both
+      // single-payload kernels.
+      std::vector<std::size_t> counts(kPayloads);
+      bool agree = true;
+      const auto batch_ns_per_byte = [&](std::size_t lanes) {
+        const std::size_t covered = kPayloads - kPayloads % lanes;
+        const auto start = std::chrono::steady_clock::now();
+        for (int r = 0; r < ac_reps; ++r) {
+          for (std::size_t i = 0; i < covered; i += lanes)
+            flat_engine.count_matches_batch(views.data() + i, counts.data() + i, lanes);
+          checksum += counts[covered - 1];
         }
+        const double seconds = seconds_since(start);
+        for (std::size_t i = 0; i < covered; ++i)
+          agree = agree && counts[i] == baseline_engine.count_matches(views[i]) &&
+                  counts[i] == flat_engine.count_matches(views[i]);
+        return seconds * 1e9 /
+               (static_cast<double>(payload_bytes) * static_cast<double>(covered) * ac_reps);
+      };
+      const double batch4 = batch_ns_per_byte(4);
+      const double batch3 = batch_ns_per_byte(3);
+      const double batch2 = batch_ns_per_byte(2);
+      const double batch_sec = batch4 * total_bytes * 1e-9;  // 4 lanes cover every payload.
+      if (!agree) {
+        std::cerr << "FAIL: signature engines disagree at " << payload_bytes << " B\n";
+        return 1;
       }
 
       baseline_total_sec += baseline_sec;
@@ -168,7 +181,9 @@ int main() {
           .cell(payload_bytes)
           .cell(baseline_sec * 1e9 / total_bytes, 2)
           .cell(flat_sec * 1e9 / total_bytes, 2)
-          .cell(batch_sec * 1e9 / total_bytes, 2)
+          .cell(batch4, 2)
+          .cell(batch3, 2)
+          .cell(batch2, 2)
           .cell(baseline_sec / flat_sec, 2)
           .cell(baseline_sec / batch_sec, 2);
     }

@@ -46,7 +46,7 @@ class NidsNode {
 
   /// The same analysis for a packet whose payload was already scanned by
   /// this node's engine: `matches` is its count_matches() result (replay
-  /// scans a session direction's packets four at a time and hands each
+  /// scans a session's packets in groups of up to four and hands each
   /// node its packet's count).  Runs the scan detector and session tracker
   /// and charges the same work as process(packet); returns `matches`.
   std::size_t process(const PacketView& packet, std::size_t matches);

@@ -29,9 +29,11 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace nwlb::nids {
@@ -68,46 +70,28 @@ class SignatureEngine {
 
   /// Counts matches across a batch of payloads (out_counts[i] receives the
   /// count for payloads[i]).  Semantically identical to calling
-  /// count_matches per payload, but processes four payloads in lock-step so
-  /// their four independent transition-load chains overlap: the single-
-  /// payload loop is latency-bound (every byte's table load depends on the
-  /// previous one), and interleaving is the only way to convert that
-  /// latency into throughput.  Replay scans in groups of four: each full
-  /// group of a session direction's packets goes through this kernel, the
-  /// last one to three through count_matches, and every node the packet
-  /// reaches gets the count (NidsNode::process(packet, matches));
-  /// bench/data_plane gates this form against the node-walk baseline.
+  /// count_matches per payload, but scans several payloads in lock-step so
+  /// their independent transition-load chains overlap: the single-payload
+  /// loop is latency-bound (every byte's table load depends on the previous
+  /// one), and interleaving is the only way to convert that latency into
+  /// throughput.  Full groups of four go four lanes wide, a remainder of two
+  /// or three goes two or three lanes wide, and a lone payload takes the
+  /// single-stream loop.  Replay streams a session's packets, forward then
+  /// reverse, through four payload slots and hands this kernel each group:
+  /// four packets, or the one to three the session ends with; every node a
+  /// packet reaches gets its count (NidsNode::process(packet, matches)).
+  /// bench/data_plane gates the four-lane form against the node-walk
+  /// baseline.
   void count_matches_batch(const std::string_view* payloads, std::size_t* out_counts,
                            std::size_t n) const {
-    const std::uint32_t* const table = table_storage_.data() + table_offset_;
-    const std::uint32_t* const out_count = out_count_.data();
-    const std::size_t full = n - n % 4;
     std::size_t i = 0;
-    for (; i < full; i += 4) {
-      const std::string_view p0 = payloads[i], p1 = payloads[i + 1];
-      const std::string_view p2 = payloads[i + 2], p3 = payloads[i + 3];
-      std::uint32_t b0 = 0, b1 = 0, b2 = 0, b3 = 0;
-      std::size_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-      const std::size_t common = std::min(std::min(p0.size(), p1.size()),
-                                          std::min(p2.size(), p3.size()));
-      for (std::size_t k = 0; k < common; ++k) {
-        b0 = table[b0 + static_cast<unsigned char>(p0[k])];
-        b1 = table[b1 + static_cast<unsigned char>(p1[k])];
-        b2 = table[b2 + static_cast<unsigned char>(p2[k])];
-        b3 = table[b3 + static_cast<unsigned char>(p3[k])];
-        c0 += out_count[b0 >> 8];
-        c1 += out_count[b1 >> 8];
-        c2 += out_count[b2 >> 8];
-        c3 += out_count[b3 >> 8];
-      }
-      // Uneven tails finish on the single-payload path, resuming from the
-      // lock-step state.
-      out_counts[i] = c0 + count_tail(table, out_count, p0, common, b0);
-      out_counts[i + 1] = c1 + count_tail(table, out_count, p1, common, b1);
-      out_counts[i + 2] = c2 + count_tail(table, out_count, p2, common, b2);
-      out_counts[i + 3] = c3 + count_tail(table, out_count, p3, common, b3);
+    for (; n - i >= 4; i += 4) count_lanes<4>(payloads + i, out_counts + i);
+    switch (n - i) {
+      case 3: count_lanes<3>(payloads + i, out_counts + i); break;
+      case 2: count_lanes<2>(payloads + i, out_counts + i); break;
+      case 1: out_counts[i] = count_matches(payloads[i]); break;
+      default: break;
     }
-    for (; i < n; ++i) out_counts[i] = count_matches(payloads[i]);
   }
 
   int num_patterns() const { return static_cast<int>(patterns_.size()); }
@@ -119,6 +103,33 @@ class SignatureEngine {
   static std::vector<std::string> default_rules();
 
  private:
+  /// Scans `Lanes` payloads in lock-step up to the shortest one's length,
+  /// one table load per lane per byte; each longer payload then finishes on
+  /// the single-stream loop from its lane's state.
+  template <std::size_t Lanes>
+  void count_lanes(const std::string_view* payloads, std::size_t* out_counts) const {
+    const std::uint32_t* const table = table_storage_.data() + table_offset_;
+    const std::uint32_t* const out_count = out_count_.data();
+    std::array<const char*, Lanes> bytes{};
+    std::array<std::uint32_t, Lanes> base{};
+    std::array<std::size_t, Lanes> count{};
+    std::size_t common = payloads[0].size();
+    for (std::size_t lane = 0; lane < Lanes; ++lane) {
+      bytes[lane] = payloads[lane].data();
+      common = std::min(common, payloads[lane].size());
+    }
+    // The fold expands one statement per lane, so every lane's state stays
+    // in a register and the loads of different lanes issue back to back.
+    const auto step = [&]<std::size_t... L>(std::size_t k, std::index_sequence<L...>) {
+      ((base[L] = table[base[L] + static_cast<unsigned char>(bytes[L][k])]), ...);
+      ((count[L] += out_count[base[L] >> 8]), ...);
+    };
+    for (std::size_t k = 0; k < common; ++k) step(k, std::make_index_sequence<Lanes>{});
+    for (std::size_t lane = 0; lane < Lanes; ++lane)
+      out_counts[lane] =
+          count[lane] + count_tail(table, out_count, payloads[lane], common, base[lane]);
+  }
+
   static std::size_t count_tail(const std::uint32_t* table, const std::uint32_t* out_count,
                                 std::string_view payload, std::size_t from,
                                 std::uint32_t base) {

@@ -16,6 +16,17 @@ const char* to_string(FailureKind kind) {
   return "?";
 }
 
+std::string to_string(const FailureEvent& event) {
+  std::ostringstream out;
+  out << to_string(event.kind) << ' ' << event.target << ' ' << event.begin << ' ';
+  if (event.end == FailureEvent::kNever)
+    out << '-';
+  else
+    out << event.end;
+  if (event.severity < 1.0) out << ' ' << event.severity;
+  return out.str();
+}
+
 int FailureSchedule::add(FailureEvent event) {
   if (event.target < 0)
     throw std::invalid_argument("FailureSchedule: negative target id");
@@ -90,6 +101,32 @@ bool FailureSchedule::any_active_at(std::uint64_t session_index) const {
   for (const FailureEvent& e : events_)
     if (e.active_at(session_index)) return true;
   return false;
+}
+
+void FailureSchedule::check_targets(int processing_nodes, int directed_links) const {
+  for (const FailureEvent& e : events_) {
+    int limit = 0;
+    const char* what = nullptr;
+    switch (e.kind) {
+      case FailureKind::kNodeCrash:
+      case FailureKind::kMirrorBlackhole:
+        limit = processing_nodes;
+        what = "processing node";
+        break;
+      case FailureKind::kLinkDown:
+        limit = directed_links;
+        what = "directed link";
+        break;
+      case FailureKind::kControllerCrash:
+      case FailureKind::kPartition:
+        continue;
+    }
+    if (e.target < limit) continue;
+    std::string message = "FailureSchedule: '";
+    message.append(sim::to_string(e)).append("' targets ").append(what).append(1, ' ');
+    message.append(std::to_string(e.target)).append(", outside [0, ");
+    throw std::invalid_argument(message.append(std::to_string(limit)).append(")"));
+  }
 }
 
 FailureSchedule FailureSchedule::parse(const std::string& spec) {
@@ -168,17 +205,9 @@ FailureSchedule FailureSchedule::parse(const std::string& spec) {
 }
 
 std::string FailureSchedule::to_string() const {
-  std::ostringstream out;
-  for (const FailureEvent& e : events_) {
-    out << sim::to_string(e.kind) << ' ' << e.target << ' ' << e.begin << ' ';
-    if (e.end == FailureEvent::kNever)
-      out << '-';
-    else
-      out << e.end;
-    if (e.severity < 1.0) out << ' ' << e.severity;
-    out << '\n';
-  }
-  return out.str();
+  std::string out;
+  for (const FailureEvent& e : events_) out.append(sim::to_string(e)).append(1, '\n');
+  return out;
 }
 
 }  // namespace nwlb::sim

@@ -51,6 +51,10 @@ struct FailureEvent {
   }
 };
 
+/// One event in the schedule's text form, without a newline:
+/// `crash 3 1600 4000`, `blackhole 11 2400 - 0.5`.
+std::string to_string(const FailureEvent& event);
+
 class FailureSchedule {
  public:
   /// Validates and appends an event; returns its assigned id.
@@ -85,6 +89,13 @@ class FailureSchedule {
 
   /// True when any event at all is active at the index.
   bool any_active_at(std::uint64_t session_index) const;
+
+  /// Throws std::invalid_argument, naming the event and the valid range,
+  /// when a crash or blackhole target is not a processing node in
+  /// [0, processing_nodes) or a linkdown target is not a directed link in
+  /// [0, directed_links).  Control-plane events name replicas and are not
+  /// checked here.  ReplaySimulator's constructor calls it.
+  void check_targets(int processing_nodes, int directed_links) const;
 
   /// Stateless drop decision for one frame under `event`: a hash draw over
   /// (seed, event.id, session_id, frame_tag) compared against severity.

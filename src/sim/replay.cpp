@@ -15,6 +15,7 @@
 #include "util/check.h"
 #include "util/cpus.h"
 #include "util/fork_join.h"
+#include "util/rng.h"
 
 namespace nwlb::sim {
 
@@ -28,9 +29,9 @@ std::vector<double> ReplayStats::normalized_work() const {
 
 namespace {
 
-/// Packets a session direction builds and scans together: the lanes of
+/// Packets a session builds and scans together: the widest group of
 /// SignatureEngine::count_matches_batch.
-constexpr int kScanLanes = 4;
+constexpr std::size_t kScanLanes = 4;
 
 /// Adds the counters a shard tallies during replay, and its per-link tunnel
 /// bytes, into `total`.  Node work and packets come from the shard's
@@ -78,8 +79,9 @@ struct ReplaySimulator::Shard {
 
   void touch_node(std::size_t j) { touched_nodes[j >> 6] |= std::uint64_t{1} << (j & 63); }
 
-  // Reused per-direction scratch: one action per on-path node (every
-  // packet of a direction shares one hash, hence one decision).
+  // Reused per-session scratch: one action per on-path node of the forward
+  // path, then of the reverse path (every packet of a direction shares one
+  // hash, hence one decision).
   std::vector<shim::Action> action_buf;
   // Packet and frame scratch, sized once per window for its largest
   // payload: every packet is built into one of payload_buf's kScanLanes
@@ -89,9 +91,8 @@ struct ReplaySimulator::Shard {
   std::size_t slot_bytes = 0;
   std::vector<std::byte> frame_buf;
 
-  std::span<char> payload_slot(int lane) {
-    return std::span<char>(payload_buf).subspan(static_cast<std::size_t>(lane) * slot_bytes,
-                                                slot_bytes);
+  std::span<char> payload_slot(std::size_t lane) {
+    return std::span<char>(payload_buf).subspan(lane * slot_bytes, slot_bytes);
   }
 
   Shard(const core::ProblemInput& input,
@@ -158,6 +159,9 @@ ReplaySimulator::ReplaySimulator(const core::ProblemInput& input,
                                  ReplayOptions options)
     : input_(&input), options_(options) {
   options.validate();
+  if (options.failures)
+    options.failures->check_targets(input.num_processing_nodes(),
+                                    input.routing->graph().num_directed_links());
   if (static_cast<int>(bundle.configs.size()) != input.num_pops())
     // nwlb-lint: allow(no-throw-hot-path) -- construction, not replay.
     throw std::invalid_argument("ReplaySimulator: one config per PoP required");
@@ -282,19 +286,34 @@ std::size_t ReplaySimulator::generation_slot(std::uint64_t session_index) const 
   return generations_.size();  // Unreachable: slot 0 activates at 0.
 }
 
-void ReplaySimulator::replay_direction(Shard& shard, const std::vector<shim::Shim>& shims,
-                                       const SessionSpec& session,
-                                       std::uint64_t session_index,
-                                       bool fail_open_admitted,
-                                       const TraceGenerator& generator,
-                                       nids::Direction direction, int packets,
-                                       nwlb::util::Rng& loss_rng) const {
-  if (packets <= 0) return;
+/// One session direction's decisions, taken for both directions before any
+/// packet of the session is walked.
+struct ReplaySimulator::DirectionPlan {
+  nids::Direction direction = nids::Direction::kForward;
+  const topo::Path* path = nullptr;
+  std::span<const shim::Action> actions;  // One per path position.
+  int packets = 0;  // Packets to walk: 0 when no decision reaches an engine.
+};
+
+/// What every packet walk of one session reads besides its direction's plan.
+struct ReplaySimulator::SessionWalk {
+  const SessionSpec& session;
+  std::uint64_t index = 0;  // Global session index.
+  bool fail_open_admitted = false;
+  nwlb::util::Rng loss_rng;
+};
+
+ReplaySimulator::DirectionPlan ReplaySimulator::decide_direction(
+    Shard& shard, const std::vector<shim::Shim>& shims, const SessionWalk& walk,
+    nids::Direction direction, int packets, std::span<shim::Action> actions) const {
+  const SessionSpec& session = walk.session;
   const auto& cls = input_->classes[static_cast<std::size_t>(session.class_index)];
-  const topo::Path& path =
-      direction == nids::Direction::kForward ? cls.fwd_path : cls.rev_path;
+  const topo::Path& path = direction == nids::Direction::kForward ? cls.fwd_path : cls.rev_path;
+  DirectionPlan plan{direction, &path, actions, 0};
+  if (packets <= 0) return plan;
   ReplayStats& tally = shard.tally;
-  tally.packets_replayed += static_cast<std::uint64_t>(packets);
+  const auto count = static_cast<std::uint64_t>(packets);
+  tally.packets_replayed += count;
   const FailureSchedule* failures = options_.failures;
 
   // Every packet of one session direction carries the same 5-tuple, so
@@ -305,170 +324,147 @@ void ReplaySimulator::replay_direction(Shard& shard, const std::vector<shim::Shi
   const nids::FiveTuple tuple =
       direction == nids::Direction::kForward ? session.tuple : session.tuple.reversed();
   const std::uint32_t hash = shim::hash_tuple(tuple);
-  shard.action_buf.resize(path.size());
-  bool any_action = false;
-  bool scanned = false;  // Some decision can deliver packets to an engine.
+  bool reached = false;  // Some decision delivers packets to an engine.
+  std::uint64_t dark = 0;  // Replicate decisions whose range goes dark.
   const auto reach = [&](std::size_t node) {
     shard.touch_node(node);
-    scanned = true;
+    reached = true;
   };
   for (std::size_t p = 0; p < path.size(); ++p) {
     const auto j = static_cast<std::size_t>(path[p]);
     shim::Action action = shim::Action::ignore();
-    if (failures && failures->node_crashed(path[p], session_index)) {
+    if (failures && failures->node_crashed(path[p], walk.index)) {
       // Crashed node: the shim makes no decisions and the engine does no
       // work — this direction's packets pass it un-inspected.
-      tally.crash_skipped_packets += static_cast<std::uint64_t>(packets);
+      tally.crash_skipped_packets += count;
     } else {
-      action = shims[j].decide_hashed_repeat(session.class_index, direction, hash,
-                                             static_cast<std::uint64_t>(packets),
+      action = shims[j].decide_hashed_repeat(session.class_index, direction, hash, count,
                                              shard.shim_stats[j]);
     }
-    shard.action_buf[p] = action;
-    any_action = any_action || action.kind != shim::Action::Kind::kIgnore;
+    actions[p] = action;
     // Record which node this decision can deliver packets to — exactly the
-    // process() sites below — so the end-of-session coverage check knows
-    // where to look, and whether the packets need a signature scan at all.
+    // process() sites of walk_packet — so the end-of-session coverage check
+    // knows where to look, and whether the packets need walking at all.
     if (action.kind == shim::Action::Kind::kProcess) {
       reach(j);
     } else if (action.kind == shim::Action::Kind::kReplicate) {
       const auto m = static_cast<std::size_t>(action.mirror);
-      if (mirror_down_[m] != 0) {
-        if (options_.degrade == DegradePolicy::kFailOpen && fail_open_admitted) reach(j);
-      } else {
+      if (mirror_down_[m] == 0)
         reach(m);
-      }
+      else if (options_.degrade == DegradePolicy::kFailOpen && walk.fail_open_admitted)
+        reach(j);
+      else
+        ++dark;
     }
   }
-  // Fast path: when every on-path node ignores this session direction, the
-  // payloads influence nothing — skip materializing them.
-  if (!any_action) return;
+  // A direction no decision delivers to an engine is not walked: its
+  // packets would only go dark at each replicate decision, so count that
+  // here and skip materializing them.
+  if (reached)
+    plan.packets = packets;
+  else
+    tally.degraded_skipped_packets += count * dark;
+  return plan;
+}
 
-  // One packet's walk along the path, given its signature count.  Every
-  // engine runs engine_'s automaton and a delivered frame carries the
-  // packet's bytes verbatim, so the count is a pure function of the payload,
-  // taken once for every node the packet reaches.
-  const auto walk = [&](const nids::PacketView& packet, int k, std::size_t matches) {
-    for (std::size_t p = 0; p < path.size(); ++p) {
-      const topo::NodeId j = path[p];
-      const shim::Action action = shard.action_buf[p];
-      switch (action.kind) {
-        case shim::Action::Kind::kProcess:
-          tally.signature_matches +=
-              shard.nodes[static_cast<std::size_t>(j)].process(packet, matches);
-          break;
-        case shim::Action::Kind::kReplicate: {
-          const int mirror = action.mirror;
-          // Degraded operation: the health monitor flagged this mirror down
-          // in an earlier reconcile window, so the shim stops tunneling to
-          // it.  Fail-open absorbs admitted sessions locally (up to the
-          // headroom cap); otherwise the range goes dark.
-          if (mirror_down_[static_cast<std::size_t>(mirror)] != 0) {
-            if (options_.degrade == DegradePolicy::kFailOpen && fail_open_admitted) {
-              tally.signature_matches +=
-                  shard.nodes[static_cast<std::size_t>(j)].process(packet, matches);
-              ++tally.fail_open_packets;
-            } else {
-              ++tally.degraded_skipped_packets;
-            }
-            break;
-          }
-          // Distinguishes every frame of a session for partial-severity
-          // failure draws (direction bit | path position | packet index).
-          const std::uint64_t frame_tag =
-              (direction == nids::Direction::kReverse ? 1ULL << 63 : 0ULL) |
-              (static_cast<std::uint64_t>(p) << 32) | static_cast<std::uint64_t>(k);
-          // Real tunnel framing into the shard's frame scratch: the frame is
-          // stamped even if it is lost in transit (sequence numbers advance,
-          // which is what makes the loss detectable).
-          const std::size_t frame_bytes =
-              shard.sender_for(static_cast<std::size_t>(j), static_cast<std::size_t>(mirror))
-                  .encapsulate_into(packet, shard.frame_buf);
-          ++tally.tunnel_frames_sent;
-          const auto bytes = static_cast<double>(frame_bytes);
-          shard.shim_stats[static_cast<std::size_t>(j)].count_replicated(mirror,
-                                                                         frame_bytes);
-          const topo::NodeId target_pop = input_->attach_pop_of(mirror);
-          bool link_eaten = false;
-          if (target_pop != j) {
-            for (topo::LinkId l : input_->routing->links_on_path(j, target_pop)) {
-              if (link_eaten) break;  // Dropped upstream: never reaches l.
-              tally.link_replicated_bytes[static_cast<std::size_t>(l)] += bytes;
-              if (failures) {
-                if (const FailureEvent* e =
-                        failures->link_down_at(static_cast<int>(l), session_index);
-                    e && FailureSchedule::drops_frame(*e, options_.seed, session.id,
-                                                      frame_tag))
-                  link_eaten = true;
-              }
-            }
-          }
-          if (options_.replication_loss > 0.0 &&
-              loss_rng.bernoulli(options_.replication_loss)) {
-            ++tally.tunnel_frames_dropped;
-            break;  // Frame lost: the mirror never sees this packet.
-          }
-          if (link_eaten) {
-            ++tally.tunnel_frames_blackholed;
-            break;
-          }
-          if (failures) {
-            // A crashed mirror eats frames outright; a blackholed one eats
-            // the event's severity fraction via stateless per-frame draws.
-            if (failures->node_crashed(mirror, session_index)) {
-              ++tally.tunnel_frames_blackholed;
-              break;
-            }
-            if (const FailureEvent* bh = failures->blackhole_at(mirror, session_index);
-                bh && FailureSchedule::drops_frame(*bh, options_.seed, session.id,
-                                                   frame_tag)) {
-              ++tally.tunnel_frames_blackholed;
-              break;
-            }
-          }
-          // Delivered: the mirror decapsulates and processes it inline.
-          if (auto delivered = shard.receivers[static_cast<std::size_t>(mirror)]
-                                   .try_decapsulate_view(std::span<const std::byte>(
-                                       shard.frame_buf.data(), frame_bytes))) {
-            NWLB_DCHECK(delivered->payload == packet.payload,
-                        "ReplaySimulator: a delivered payload differs from the scanned one");
+void ReplaySimulator::walk_packet(Shard& shard, SessionWalk& walk, const DirectionPlan& plan,
+                                  const nids::PacketView& packet, int index,
+                                  std::size_t matches) const {
+  // Every engine runs engine_'s automaton and a delivered frame carries the
+  // packet's bytes verbatim, so `matches` — the packet's signature count,
+  // taken once — serves every node the packet reaches.
+  ReplayStats& tally = shard.tally;
+  const FailureSchedule* failures = options_.failures;
+  const topo::Path& path = *plan.path;
+  for (std::size_t p = 0; p < path.size(); ++p) {
+    const topo::NodeId j = path[p];
+    const shim::Action action = plan.actions[p];
+    switch (action.kind) {
+      case shim::Action::Kind::kProcess:
+        tally.signature_matches +=
+            shard.nodes[static_cast<std::size_t>(j)].process(packet, matches);
+        break;
+      case shim::Action::Kind::kReplicate: {
+        const int mirror = action.mirror;
+        // Degraded operation: the health monitor flagged this mirror down
+        // in an earlier reconcile window, so the shim stops tunneling to
+        // it.  Fail-open absorbs admitted sessions locally (up to the
+        // headroom cap); otherwise the range goes dark.
+        if (mirror_down_[static_cast<std::size_t>(mirror)] != 0) {
+          if (options_.degrade == DegradePolicy::kFailOpen && walk.fail_open_admitted) {
             tally.signature_matches +=
-                shard.nodes[static_cast<std::size_t>(mirror)].process(*delivered, matches);
+                shard.nodes[static_cast<std::size_t>(j)].process(packet, matches);
+            ++tally.fail_open_packets;
+          } else {
+            ++tally.degraded_skipped_packets;
           }
           break;
         }
-        case shim::Action::Kind::kIgnore:
+        // Distinguishes every frame of a session for partial-severity
+        // failure draws (direction bit | path position | packet index).
+        const std::uint64_t frame_tag =
+            (plan.direction == nids::Direction::kReverse ? 1ULL << 63 : 0ULL) |
+            (static_cast<std::uint64_t>(p) << 32) | static_cast<std::uint64_t>(index);
+        // Real tunnel framing into the shard's frame scratch: the frame is
+        // stamped even if it is lost in transit (sequence numbers advance,
+        // which is what makes the loss detectable).
+        const std::size_t frame_bytes =
+            shard.sender_for(static_cast<std::size_t>(j), static_cast<std::size_t>(mirror))
+                .encapsulate_into(packet, shard.frame_buf);
+        ++tally.tunnel_frames_sent;
+        const auto bytes = static_cast<double>(frame_bytes);
+        shard.shim_stats[static_cast<std::size_t>(j)].count_replicated(mirror, frame_bytes);
+        const topo::NodeId target_pop = input_->attach_pop_of(mirror);
+        bool link_eaten = false;
+        if (target_pop != j) {
+          for (topo::LinkId l : input_->routing->links_on_path(j, target_pop)) {
+            if (link_eaten) break;  // Dropped upstream: never reaches l.
+            tally.link_replicated_bytes[static_cast<std::size_t>(l)] += bytes;
+            if (failures) {
+              if (const FailureEvent* e = failures->link_down_at(static_cast<int>(l), walk.index);
+                  e && FailureSchedule::drops_frame(*e, options_.seed, walk.session.id,
+                                                    frame_tag))
+                link_eaten = true;
+            }
+          }
+        }
+        if (options_.replication_loss > 0.0 &&
+            walk.loss_rng.bernoulli(options_.replication_loss)) {
+          ++tally.tunnel_frames_dropped;
+          break;  // Frame lost: the mirror never sees this packet.
+        }
+        if (link_eaten) {
+          ++tally.tunnel_frames_blackholed;
           break;
+        }
+        if (failures) {
+          // A crashed mirror eats frames outright; a blackholed one eats
+          // the event's severity fraction via stateless per-frame draws.
+          if (failures->node_crashed(mirror, walk.index)) {
+            ++tally.tunnel_frames_blackholed;
+            break;
+          }
+          if (const FailureEvent* bh = failures->blackhole_at(mirror, walk.index);
+              bh && FailureSchedule::drops_frame(*bh, options_.seed, walk.session.id,
+                                                 frame_tag)) {
+            ++tally.tunnel_frames_blackholed;
+            break;
+          }
+        }
+        // Delivered: the mirror decapsulates and processes it inline.
+        if (auto delivered = shard.receivers[static_cast<std::size_t>(mirror)]
+                                 .try_decapsulate_view(std::span<const std::byte>(
+                                     shard.frame_buf.data(), frame_bytes))) {
+          NWLB_DCHECK(delivered->payload == packet.payload,
+                      "ReplaySimulator: a delivered payload differs from the scanned one");
+          tally.signature_matches +=
+              shard.nodes[static_cast<std::size_t>(mirror)].process(*delivered, matches);
+        }
+        break;
       }
+      case shim::Action::Kind::kIgnore:
+        break;
     }
-  };
-
-  // Four packets at a time: build them into the shard's payload slots,
-  // count their matches in one interleaved count_matches_batch call, then
-  // walk them in (packet, path position) order — the order of a
-  // packet-at-a-time replay, so every sequence number, loss draw, tracker
-  // update and work unit lands as it would there.  The last one to three
-  // packets, and every shorter direction, take the single-stream kernel.
-  // A direction no decision delivers to an engine is not scanned; frames
-  // lost in transit still are.
-  int k = 0;
-  for (; packets - k >= kScanLanes; k += kScanLanes) {
-    std::array<nids::PacketView, kScanLanes> group;
-    std::array<std::string_view, kScanLanes> payloads;
-    std::array<std::size_t, kScanLanes> matches{};
-    for (int g = 0; g < kScanLanes; ++g) {
-      const auto lane = static_cast<std::size_t>(g);
-      group[lane] = generator.packet_into(session, k + g, direction, shard.payload_slot(g));
-      payloads[lane] = group[lane].payload;
-    }
-    if (scanned) engine_->count_matches_batch(payloads.data(), matches.data(), kScanLanes);
-    for (int g = 0; g < kScanLanes; ++g)
-      walk(group[static_cast<std::size_t>(g)], k + g, matches[static_cast<std::size_t>(g)]);
-  }
-  for (; k < packets; ++k) {
-    const nids::PacketView packet =
-        generator.packet_into(session, k, direction, shard.payload_slot(0));
-    walk(packet, k, scanned ? engine_->count_matches(packet.payload) : 0);
   }
 }
 
@@ -498,23 +494,60 @@ void ReplaySimulator::replay_session(Shard& shard, const SessionSpec& session,
 
   // The loss stream is derived from the session id, not drawn from a
   // shared sequence, so drop decisions are identical for any sharding.
-  nwlb::util::Rng loss_rng(nwlb::util::derive_seed(options_.seed, session.id));
+  SessionWalk walk{session, session_index, false,
+                   nwlb::util::Rng(nwlb::util::derive_seed(options_.seed, session.id))};
   // Fail-open admission is one stateless per-session draw: the expected
   // fraction of degraded sessions absorbed locally equals the headroom cap,
   // independent of replay order.
-  bool fail_open_admitted = false;
   if (options_.degrade == DegradePolicy::kFailOpen) {
     std::uint64_t s = nwlb::util::derive_seed(
         nwlb::util::derive_seed(options_.seed, 0xADB17ULL), session.id);
     const double u =
         static_cast<double>(nwlb::util::splitmix64(s) >> 11) * 0x1.0p-53;
-    fail_open_admitted = u < options_.fail_open_headroom;
+    walk.fail_open_admitted = u < options_.fail_open_headroom;
   }
   std::fill(shard.touched_nodes.begin(), shard.touched_nodes.end(), 0);
-  replay_direction(shard, shims, session, session_index, fail_open_admitted, generator,
-                   nids::Direction::kForward, session.fwd_packets, loss_rng);
-  replay_direction(shard, shims, session, session_index, fail_open_admitted, generator,
-                   nids::Direction::kReverse, session.rev_packets, loss_rng);
+  const auto& cls = input_->classes[ci];
+  shard.action_buf.resize(cls.fwd_path.size() + cls.rev_path.size());
+  const std::span<shim::Action> actions(shard.action_buf);
+  const std::array<DirectionPlan, 2> plans = {
+      decide_direction(shard, shims, walk, nids::Direction::kForward, session.fwd_packets,
+                       actions.first(cls.fwd_path.size())),
+      decide_direction(shard, shims, walk, nids::Direction::kReverse, session.rev_packets,
+                       actions.subspan(cls.fwd_path.size()))};
+
+  // The session's packets stream through the shard's payload slots,
+  // forward then reverse: each time every slot is full, and once more for
+  // the one to three left at the end, one count_matches_batch call counts
+  // the group, and its packets are walked in (direction, packet, path
+  // position) order.  That is the order of a packet-at-a-time replay, so
+  // every sequence number, loss draw, tracker update and work unit lands as
+  // it would there.
+  struct Lane {
+    nids::PacketView packet;
+    const DirectionPlan* plan = nullptr;
+    int index = 0;  // Packet index within its direction.
+  };
+  std::array<Lane, kScanLanes> lanes;
+  std::array<std::string_view, kScanLanes> payloads;
+  std::array<std::size_t, kScanLanes> matches{};
+  std::size_t pending = 0;
+  const auto scan_and_walk = [&] {
+    engine_->count_matches_batch(payloads.data(), matches.data(), pending);
+    for (std::size_t g = 0; g < pending; ++g)
+      walk_packet(shard, walk, *lanes[g].plan, lanes[g].packet, lanes[g].index, matches[g]);
+    pending = 0;
+  };
+  for (const DirectionPlan& plan : plans) {
+    for (int k = 0; k < plan.packets; ++k) {
+      lanes[pending] = {generator.packet_into(session, k, plan.direction,
+                                              shard.payload_slot(pending)),
+                        &plan, k};
+      payloads[pending] = lanes[pending].packet.payload;
+      if (++pending == kScanLanes) scan_and_walk();
+    }
+  }
+  if (pending > 0) scan_and_walk();
   // Stateful-coverage verdict, taken while this session's tracker entries
   // are still cache-hot.  A node outside the touched set cannot have
   // observed the session, so probing only touched nodes is exact.

@@ -21,16 +21,18 @@
 // merges are exact — ReplayStats is byte-identical for any worker count.
 //
 // One data-plane path (§7.2): per session direction, one hash and one
-// table probe per on-path shim decide the whole run.  The shard then builds
-// the direction's packets four at a time into four reusable payload slots
-// and counts their signature matches in one interleaved
-// SignatureEngine::count_matches_batch call; each packet in turn is
-// processed locally with its count, or stamped into one reusable frame
-// buffer that the mirror decapsulates and processes inline with the same
-// count (the frame carries the payload verbatim).  The slots and the frame
-// buffer are sized once per replay() call from the window's largest
-// payload, so no packet or frame allocates, and shards share no atomics
-// until the end-of-window merge.
+// table probe per on-path shim decide the whole run, and both directions
+// are decided before any packet is built.  The shard then streams the
+// session's packets, forward then reverse, through four reusable payload
+// slots: each group of four, and the one to three the session ends with,
+// has its signature matches counted in one interleaved
+// SignatureEngine::count_matches_batch call (a group may hold both
+// directions).  Each packet in turn is processed locally with its count,
+// or stamped into one reusable frame buffer that the mirror decapsulates
+// and processes inline with the same count (the frame carries the payload
+// verbatim).  The slots and the frame buffer are sized once per replay()
+// call from the window's largest payload, so no packet or frame
+// allocates, and shards share no atomics until the end-of-window merge.
 //
 // Failure injection: a FailureSchedule times node crashes, mirror
 // blackholes, and link outages in global-session-index space, so the set
@@ -66,7 +68,6 @@
 #include "sim/failure.h"
 #include "sim/trace.h"
 #include "util/mutex.h"
-#include "util/rng.h"
 #include "util/thread_annotations.h"
 
 namespace nwlb::obs {
@@ -100,7 +101,8 @@ struct ReplayOptions {
   int num_workers = 1;
 
   /// Timed crash/blackhole/link events; must outlive the simulator.
-  /// Null = no injected failures.
+  /// Null = no injected failures.  The constructor rejects an event whose
+  /// target the deployment does not have (FailureSchedule::check_targets).
   const FailureSchedule* failures = nullptr;
 
   /// Behaviour toward health-flagged mirrors.
@@ -284,14 +286,23 @@ class ReplaySimulator {
     std::vector<shim::Shim> shims;  // One per PoP; read-only during replay.
   };
 
+  struct DirectionPlan;
+  struct SessionWalk;
+
   std::size_t generation_slot(std::uint64_t session_index) const;
   void replay_session(Shard& shard, const SessionSpec& session,
                       std::uint64_t session_index, const TraceGenerator& generator) const;
-  void replay_direction(Shard& shard, const std::vector<shim::Shim>& shims,
-                        const SessionSpec& session, std::uint64_t session_index,
-                        bool fail_open_admitted, const TraceGenerator& generator,
-                        nids::Direction direction, int packets,
-                        nwlb::util::Rng& loss_rng) const;
+  /// Takes one direction's shim decisions into `actions` (one per path
+  /// position) and tallies what needs no packet: decision, crash-skip and
+  /// dark-range counters and the nodes the packets will reach.  Reads only
+  /// state frozen for the replay call.
+  DirectionPlan decide_direction(Shard& shard, const std::vector<shim::Shim>& shims,
+                                 const SessionWalk& walk, nids::Direction direction,
+                                 int packets, std::span<shim::Action> actions) const;
+  /// Walks one packet along its direction's path under the plan's
+  /// decisions, every engine it reaches taking `matches` as its count.
+  void walk_packet(Shard& shard, SessionWalk& walk, const DirectionPlan& plan,
+                   const nids::PacketView& packet, int index, std::size_t matches) const;
   void merge(Shard& shard) NWLB_REQUIRES(reconcile_);
   void mark_mirror_targets(const std::vector<shim::ShimConfig>& configs);
   void update_health(std::uint64_t window_last_index) NWLB_REQUIRES(reconcile_);

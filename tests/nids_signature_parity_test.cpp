@@ -109,26 +109,47 @@ TEST(SignatureParity, DuplicateAndNestedPatterns) {
 }
 
 TEST(SignatureParity, BatchCountsMatchPerPayloadCounts) {
-  // The 4-lane interleaved batch must be arithmetic-identical to the
-  // single-payload loop (and therefore to the baseline), including uneven
-  // tails and remainder lanes.
+  // The interleaved batch must be arithmetic-identical to the single-payload
+  // loop (and therefore to the baseline).  Full groups run four lanes wide
+  // and a remainder of two or three runs two or three lanes wide, so sizes 1
+  // to 9 reach every remainder after zero, one and two full groups, and 37
+  // runs nine full groups and a lone payload.  Equal lengths keep every lane
+  // in lock-step to the end; uneven ones (empty payloads included) finish
+  // the longer lanes on the single-stream tail.
   util::Rng rng(0xba7c4);
   const SignatureEngine flat(SignatureEngine::default_rules());
   const BaselineSignatureEngine baseline(SignatureEngine::default_rules());
-  std::vector<std::string> owned;
-  for (int i = 0; i < 37; ++i) {  // Odd count: exercises the <4 remainder.
-    std::string payload = random_string(rng, 0, 300, 26);
-    if (i % 5 == 0) payload += "metasploit";  // Guarantee some hits.
-    if (i % 7 == 0) payload += "DROP TABLE users";
-    owned.push_back(std::move(payload));
+  const std::vector<std::string> plants = {"metasploit", "DROP TABLE users", "/etc/passwd",
+                                           "AAAAAAAAAAAAAAAAAA"};
+  std::size_t total_matches = 0;
+  for (const bool uneven : {false, true}) {
+    for (const std::size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 37}) {
+      for (int round = 0; round < 4; ++round) {
+        const std::size_t length = 20 + rng() % 200;
+        std::vector<std::string> owned;
+        for (std::size_t i = 0; i < n; ++i) {
+          std::string payload = uneven ? random_string(rng, 0, 300, 26)
+                                       : random_string(rng, length, length, 26);
+          // Planted over existing bytes, so equal lengths stay equal.
+          const std::string& plant = plants[rng() % plants.size()];
+          if (rng() % 2 == 0 && plant.size() <= payload.size())
+            payload.replace(rng() % (payload.size() - plant.size() + 1), plant.size(), plant);
+          owned.push_back(std::move(payload));
+        }
+        const std::vector<std::string_view> views(owned.begin(), owned.end());
+        std::vector<std::size_t> counts(n, ~std::size_t{0});
+        flat.count_matches_batch(views.data(), counts.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(counts[i], flat.count_matches(views[i]))
+              << "batch of " << n << (uneven ? ", uneven" : ", equal") << ", payload " << i;
+          EXPECT_EQ(counts[i], baseline.count_matches(views[i]))
+              << "batch of " << n << (uneven ? ", uneven" : ", equal") << ", payload " << i;
+          total_matches += counts[i];
+        }
+      }
+    }
   }
-  std::vector<std::string_view> views(owned.begin(), owned.end());
-  std::vector<std::size_t> counts(views.size(), ~std::size_t{0});
-  flat.count_matches_batch(views.data(), counts.data(), views.size());
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    EXPECT_EQ(counts[i], flat.count_matches(views[i])) << "payload " << i;
-    EXPECT_EQ(counts[i], baseline.count_matches(views[i])) << "payload " << i;
-  }
+  EXPECT_GT(total_matches, 0u);  // The planted signatures were counted.
 }
 
 TEST(SignatureParity, RejectsEmptyPattern) {

@@ -535,6 +535,45 @@ TEST(MirrorHealthReplay, FailOpenKeepsCoverageAboveFailClosed) {
   EXPECT_EQ(choked.fail_open_packets, 0u);
 }
 
+TEST(ScheduledFailures, ConstructorRejectsTargetsTheDeploymentLacks) {
+  // Crash and blackhole targets name processing nodes, linkdown targets
+  // directed links.  An id the deployment does not have is rejected before
+  // anything replays, naming the event and the valid range.
+  LossFixture f;
+  const int nodes = f.input.num_processing_nodes();
+  const int links = f.input.routing->graph().num_directed_links();
+  const auto expect_rejected = [&f](const std::string& spec, const std::string& range) {
+    const FailureSchedule schedule = FailureSchedule::parse(spec);
+    ReplayOptions opts;
+    opts.failures = &schedule;
+    try {
+      const ReplaySimulator sim(f.input, f.bundle, opts);
+      ADD_FAILURE() << "accepted '" << spec << "'";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("'") + to_string(schedule.events()[0]) + "'"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(range), std::string::npos) << what;
+    }
+  };
+  const std::string node_range = std::string("[0, ") + std::to_string(nodes) + ")";
+  const std::string link_range = std::string("[0, ") + std::to_string(links) + ")";
+  expect_rejected(std::string("crash ") + std::to_string(nodes) + " 0 -", node_range);
+  expect_rejected("blackhole 99 10 20 0.5", node_range);
+  expect_rejected(std::string("linkdown ") + std::to_string(links) + " 0 -", link_range);
+
+  // The last id of each range passes, and so do control-plane events,
+  // whose targets are replicas.
+  const FailureSchedule edge = FailureSchedule::parse(
+      std::string("crash ") + std::to_string(nodes - 1) + " 0 -; blackhole " +
+      std::to_string(nodes - 1) + " 0 -; linkdown " + std::to_string(links - 1) +
+      " 0 -; controller_crash 99 0 -");
+  ReplayOptions opts;
+  opts.failures = &edge;
+  EXPECT_NO_THROW(ReplaySimulator(f.input, f.bundle, opts));
+}
+
 TEST(MirrorHealthReplay, RejectsBadHeadroom) {
   LossFixture f;
   ReplayOptions opts;

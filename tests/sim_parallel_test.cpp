@@ -105,6 +105,51 @@ TEST(ParallelReplay, FourWorkersMatchSerialExactly) {
   expect_identical(serial, parallel);
 }
 
+TEST(ParallelReplay, SignatureMatchesEqualPerPacketScan) {
+  // Replay scans a session's packets, forward then reverse, in groups of up
+  // to four that may straddle the two directions.  Under an ingress-only
+  // bundle every packet reaches exactly one engine, so the replayed match
+  // total must equal a one-packet-at-a-time scan of every packet.  Forward
+  // and reverse counts each range over 0-9: every pair of remainders mod 4,
+  // one-packet and empty directions, benign and malicious.
+  ParallelFixture f;
+  const shim::ConfigBundle ingress =
+      core::build_bundle(f.input, core::ingress_assignment(f.input));
+  TraceConfig tc;
+  tc.scanners = 0;
+  TraceGenerator gen(f.input.classes, tc, /*seed=*/43);
+  std::vector<SessionSpec> sessions = gen.generate(200);
+  ASSERT_EQ(sessions.size(), 200u);
+  for (std::size_t s = 0; s < sessions.size(); ++s) {
+    sessions[s].fwd_packets = static_cast<int>(s % 10);
+    sessions[s].rev_packets = static_cast<int>(s / 10 % 10);
+    sessions[s].malicious = s >= 100;
+  }
+  const nids::SignatureEngine engine(nids::SignatureEngine::default_rules());
+  std::uint64_t want = 0;
+  std::uint64_t packets = 0;
+  for (const SessionSpec& session : sessions) {
+    for (int k = 0; k < session.fwd_packets; ++k)
+      want += engine.count_matches(gen.make_packet(session, k, nids::Direction::kForward).payload);
+    for (int k = 0; k < session.rev_packets; ++k)
+      want += engine.count_matches(gen.make_packet(session, k, nids::Direction::kReverse).payload);
+    packets += static_cast<std::uint64_t>(session.fwd_packets + session.rev_packets);
+  }
+  ASSERT_GT(want, 0u);
+  for (const int workers : {1, 4}) {
+    ReplayOptions opts;
+    opts.num_workers = workers;
+    ReplaySimulator sim(f.input, ingress, opts);
+    sim.replay(sessions, gen);
+    const ReplayStats stats = sim.stats();
+    ASSERT_EQ(stats.packets_replayed, packets);
+    std::uint64_t delivered = 0;
+    for (const std::uint64_t n : stats.node_packets) delivered += n;
+    EXPECT_EQ(delivered, packets) << workers << " workers";  // One engine per packet.
+    EXPECT_EQ(stats.signature_matches, want) << workers << " workers";
+  }
+}
+
 TEST(ParallelReplay, MatchesSerialUnderInjectedLoss) {
   // Loss decisions come from per-session RNG streams and trailing drops
   // are reconciled at merge time, so even the loss-detection counters are

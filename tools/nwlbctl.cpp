@@ -170,6 +170,13 @@ struct Arg {
     return parsed;
   }
 
+  /// A finite number above zero.
+  double positive() {
+    const double x = number<double>();
+    if (x > 0.0) return x;
+    throw std::invalid_argument(flag + " needs a positive finite number, got '" + *value + "'");
+  }
+
   /// A count lies in [lo, hi].  One below a positive floor names the floor;
   /// any other miss names the whole range.
   int count(int lo, int hi) {
@@ -196,7 +203,7 @@ constexpr Flag kFlags[] = {
     {"--topology-file", kAllRuns, [](O& o, Arg& a) { o.topology_file = a.text(); }},
     {"--arch", kAllRuns, [](O& o, Arg& a) { o.arch = a.text(); }},
     {"--mll", kAllRuns, [](O& o, Arg& a) { o.mll = a.number<double>(); }},
-    {"--dc", kAllRuns, [](O& o, Arg& a) { o.dc = a.number<double>(); }},
+    {"--dc", kAllRuns, [](O& o, Arg& a) { o.dc = a.positive(); }},
     {"--placement", kAllRuns, [](O& o, Arg& a) { o.placement = a.text(); }},
     {"--csv", kAllRuns, [](O& o, Arg& a) { o.csv = a.on(); }},
     {"--show-configs", kOneShot, [](O& o, Arg& a) { o.show_configs = a.on(); }},
@@ -477,11 +484,18 @@ struct Deployment {
     if (mode == kLive) live.validate();
     if (mode == kReplicated) replicated.validate();
 
-    // Every value is checked: solve the bootstrap epoch.  The replicated
-    // loop's bootstrap controller is a throwaway built from the same
-    // constants as every replica, and records nothing.
+    // Build the bootstrap controller; the replicated loop's is a throwaway
+    // built from the same constants as every replica, and records nothing.
+    // The nodes and links a schedule may name are known before the solve,
+    // so its targets are the last value checked.  Then solve the bootstrap
+    // epoch.
     if (mode != kReplicated) copts.metrics = &registry;
     controller.emplace(topology, tm, copts);
+    if (schedule) {
+      const core::ProblemInput planned = controller->scenario().problem(copts.architecture);
+      schedule->check_targets(planned.num_processing_nodes(),
+                              planned.routing->graph().num_directed_links());
+    }
     initial = controller->run({.tm = &tm});
     input = controller->scenario().problem(copts.architecture);
     simulator.emplace(input, initial.bundle, ropts);
