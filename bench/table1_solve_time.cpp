@@ -104,8 +104,8 @@ int main() {
       "gravity traffic, DC=10x at most-observed PoP, MaxLinkLoad=0.4; "
       "re-solve at MaxLinkLoad=0.45 cold vs warm-started");
 
-  util::Table table({"Topology", "#PoPs", "Replication(s)", "Iters", "Aggregation(s)",
-                     "Iters", "Vars(repl)"});
+  util::Table table({"Topology", "#PoPs", "Replication(s)", "ReplIters", "Aggregation(s)",
+                     "AggIters", "Vars(repl)"});
   util::Table resolve_table(
       {"Topology", "ColdIters", "WarmIters", "ColdSec", "WarmSec", "IterReduction"});
   util::Table kernel_table({"Instance", "Solve", "Iters", "SolveMs", "Build", "Factor",

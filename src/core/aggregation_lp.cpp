@@ -71,7 +71,7 @@ void AggregationLp::build() {
 
 Assignment AggregationLp::solve(const lp::Options& lp_options, const lp::Basis* warm) const {
   const lp::Solution solution = lp::solve_revised(model_, lp_options, warm);
-  if (!solution.solved())
+  if (!solution.optimal())
     throw std::runtime_error("AggregationLp::solve: solver returned " +
                              lp::to_string(solution.status));
   const ProblemInput& in = *input_;

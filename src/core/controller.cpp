@@ -1,6 +1,5 @@
 #include "core/controller.h"
 
-#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -42,7 +41,6 @@ const char* to_string(DegradedReason reason) {
     case DegradedReason::kResolveBackoff: return "resolve_backoff";
     case DegradedReason::kCoverageLoss: return "coverage_loss";
     case DegradedReason::kNoKnownGood: return "no_known_good";
-    case DegradedReason::kScanLpFailed: return "scan_lp_failed";
   }
   return "unknown";
 }
@@ -65,9 +63,13 @@ Controller::Controller(const topo::Topology& topology,
                        const traffic::TrafficMatrix& initial_tm,
                        Architecture architecture, ScenarioConfig config)
     : Controller(topology, initial_tm,
-                 ControllerOptions{architecture, config, false, {}, {}}) {}
+                 ControllerOptions{.architecture = architecture, .scenario = config}) {}
 
 EpochResult Controller::run(const EpochRequest& request) {
+  if (request.objective_tolerance != 0.0)
+    throw std::invalid_argument(
+        "Controller::run: objective_tolerance must be 0 (every epoch is an exact solve), got " +
+        std::to_string(request.objective_tolerance));
   if (request.force_patch) return run_patch(request.failures);
   if (request.tm == nullptr)
     throw std::invalid_argument("Controller::run: request without traffic matrix");
@@ -160,22 +162,24 @@ EpochResult Controller::run_epoch(const EpochRequest& request) {
 
     lp::Options epoch_lp = options_.lp;
     if (request.max_solve_seconds > 0.0) epoch_lp.max_seconds = request.max_solve_seconds;
-    if (request.objective_tolerance > 0.0)
-      epoch_lp.objective_tolerance = request.objective_tolerance;
 
-    ReplicationLp::SolveResult attempt = formulation.try_solve(epoch_lp, warm);
-    if (!lp::solved(attempt.status) && warm != nullptr) {
+    // Every attempt's time and pivots count toward the epoch's.
+    const auto solve = [&](const lp::Basis* start) {
+      ReplicationLp::SolveResult attempt = formulation.try_solve(epoch_lp, start);
+      result.solve_seconds += attempt.assignment.lp.solve_seconds;
+      result.iterations +=
+          attempt.assignment.lp.iterations + attempt.assignment.lp.phase1_iterations;
+      return attempt;
+    };
+    ReplicationLp::SolveResult attempt = solve(warm);
+    if (attempt.status != lp::Status::kOptimal && warm != nullptr) {
       // The warm basis may be fighting the new bounds; one cold retry with
       // the same budget before giving up on this epoch's solve.
-      attempt = formulation.try_solve(epoch_lp, nullptr);
+      attempt = solve(nullptr);
       result.warm_started = false;
     }
-    result.solve_seconds += attempt.assignment.lp.solve_seconds;
-    result.iterations +=
-        attempt.assignment.lp.iterations + attempt.assignment.lp.phase1_iterations;
     solve_status = lp::to_string(attempt.status);
-    if (lp::solved(attempt.status)) {
-      result.approximate = attempt.status == lp::Status::kGoodEnough;
+    if (attempt.status == lp::Status::kOptimal) {
       result.assignment = std::move(attempt.assignment);
       warm_basis_ = result.assignment.lp.basis;
       last_good_ = result.assignment;
@@ -184,8 +188,7 @@ EpochResult Controller::run_epoch(const EpochRequest& request) {
       backoff_remaining_ = kResolveBackoffEpochs;
       switch (attempt.status) {
         case lp::Status::kOptimal:
-        case lp::Status::kGoodEnough:
-          break;  // Unreachable: handled by the solved() branch above.
+          break;  // Unreachable: handled by the branch above.
         case lp::Status::kIterationLimit:
         case lp::Status::kTimeLimit:
           fall_back(DegradedReason::kLpBudgetExhausted);
@@ -226,28 +229,6 @@ EpochResult Controller::run_epoch(const EpochRequest& request) {
                config_violations.empty() ? "" : config_violations.front());
   }
 #endif
-  if (result.solve_seconds == 0.0) result.solve_seconds = result.assignment.lp.solve_seconds;
-
-  if (options_.enable_scan_aggregation) {
-    // The aggregatable analysis runs on the on-path problem (no offloads).
-    // Its failure is never fatal to the epoch: the session-level plan above
-    // still ships, just without a fresh scan split.
-    try {
-      ProblemInput scan_input = scenario_.problem(Architecture::kPathNoReplicate);
-      apply_failures(scan_input, failures);
-      const AggregationLp scan_lp(scan_input, options_.aggregation);
-      const lp::Basis* warm = scan_warm_basis_ ? &*scan_warm_basis_ : nullptr;
-      Assignment scan = scan_lp.solve(options_.lp, warm);
-      scan_warm_basis_ = scan.lp.basis;
-      result.solve_seconds += scan.lp.solve_seconds;
-      result.iterations += scan.lp.iterations + scan.lp.phase1_iterations;
-      result.scan = std::move(scan);
-    } catch (const std::exception&) {
-      add_reason(result, DegradedReason::kScanLpFailed);
-      result.scan.reset();
-      scan_warm_basis_.reset();
-    }
-  }
   ++epochs_;
   if (options_.metrics != nullptr) record_epoch(result, solve_status, failures);
   return result;
@@ -286,14 +267,9 @@ void Controller::record_epoch(const EpochResult& result,
         .counter("nwlb_controller_epochs_warm_started_total", {},
                  "Epochs whose LP solve reused the previous basis")
         .inc();
-  if (result.approximate)
-    metrics
-        .counter("nwlb_controller_epochs_approximate_total", {},
-                 "Epochs served a tolerance-certified (good-enough) plan")
-        .inc();
   metrics
       .counter("nwlb_controller_lp_iterations_total", {},
-               "Simplex iterations across all epoch solves (both LPs)")
+               "Simplex iterations across all epoch solve attempts")
       .inc(static_cast<std::uint64_t>(result.iterations > 0 ? result.iterations : 0));
   metrics
       .histogram("nwlb_controller_solve_seconds", solve_seconds_bounds(), {},

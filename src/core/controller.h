@@ -2,12 +2,11 @@
 //
 // The controller owns the long-lived state (topology, routing, provisioned
 // capacities, datacenter placement), receives periodic traffic-matrix
-// feeds, re-runs the optimizations — session-level replication and,
-// optionally, the aggregatable Scan split — and emits a generation-tagged
-// shim::ConfigBundle plus the scan reporting schema.  Successive epochs
-// warm-start each LP from its previous basis (the model shape is identical
-// across epochs, only coefficients move), which keeps re-optimization well
-// inside the paper's "every 5 minutes" budget.
+// feeds, re-solves the session-level replication LP exactly, and emits a
+// generation-tagged shim::ConfigBundle.  Successive epochs warm-start the
+// LP from the previous basis (the model shape is identical across epochs,
+// only coefficients move), which keeps re-optimization well inside the
+// paper's "every 5 minutes" budget.
 //
 // One entry point serves every control-plane interaction:
 // run(EpochRequest).  A request carries the fresh traffic matrix, the
@@ -27,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "core/aggregation_lp.h"
 #include "core/mapper.h"
 #include "core/patch.h"
 #include "core/scenario.h"
@@ -42,11 +40,6 @@ namespace nwlb::core {
 struct ControllerOptions {
   Architecture architecture = Architecture::kPathReplicate;
   ScenarioConfig scenario;
-
-  /// When set, each epoch also re-optimizes the Scan aggregation split
-  /// (§6) and reports its assignment alongside the session-level one.
-  bool enable_scan_aggregation = false;
-  AggregationOptions aggregation;
 
   /// Solver budget applied to every epoch's LP solves (max_iterations /
   /// max_seconds).  Defaults are unlimited; deployments set these so one
@@ -73,10 +66,13 @@ struct EpochRequest {
   /// at least one completed epoch (throws std::logic_error otherwise).
   bool force_patch = false;
 
-  /// Per-request solver budget overrides: values > 0 replace
-  /// ControllerOptions::lp.max_seconds / .objective_tolerance for this
-  /// epoch only (the online loop sets these from its interval budget).
+  /// Per-request solver budget override: a value > 0 replaces
+  /// ControllerOptions::lp.max_seconds for this epoch only (the online
+  /// loop sets it from its interval budget).
   double max_solve_seconds = 0.0;
+  /// Must be 0: every epoch is one exact solve, and run() throws
+  /// std::invalid_argument on any other value.  Kept because the
+  /// end-to-end benchmark assigns it.
   double objective_tolerance = 0.0;
 };
 
@@ -89,7 +85,6 @@ enum class DegradedReason : unsigned char {
   kResolveBackoff,     // LP skipped while backing off after a failure.
   kCoverageLoss,       // Plan cannot restore full coverage (miss_rate > 0).
   kNoKnownGood,        // Fallback bottomed out at the ingress construction.
-  kScanLpFailed,       // Scan split failed; session-level plan still ships.
 };
 
 const char* to_string(DegradedReason reason);
@@ -100,15 +95,11 @@ std::string to_string(const std::vector<DegradedReason>& reasons);
 struct EpochResult {
   Assignment assignment;      // Session-level (replication) plan.
   shim::ConfigBundle bundle;  // Generation-tagged per-PoP configs.
-  std::optional<Assignment> scan;  // Scan split, when enabled.
-  double solve_seconds = 0.0;      // Both LPs combined.
+  /// Wall time and pivots of every solve attempt this epoch: a failed
+  /// warm attempt and its cold retry both count.
+  double solve_seconds = 0.0;
   int iterations = 0;
   bool warm_started = false;
-  /// True when the session-level plan is a tolerance-certified
-  /// approximation (lp::Status::kGoodEnough) rather than an exact optimum.
-  /// Not a degraded state: the point is primal feasible and its objective
-  /// is provably within ControllerOptions::lp.objective_tolerance.
-  bool approximate = false;
   /// Always false: every epoch re-solves warm with full pricing.  Kept
   /// because the end-to-end benchmark reads it for core.delta_frac.
   bool delta_resolve = false;
@@ -144,8 +135,9 @@ class Controller {
   /// The single control-plane entry point (see file comment).  Never
   /// throws on solver failure: the worst outcome is the patched last
   /// known-good plan with degraded=true and typed reasons.  Throws
-  /// std::logic_error for a force_patch before any completed epoch and
-  /// std::invalid_argument for a non-patch request without traffic.
+  /// std::logic_error for a force_patch before any completed epoch, and
+  /// std::invalid_argument for a non-patch request without traffic or a
+  /// nonzero objective_tolerance.
   EpochResult run(const EpochRequest& request);
 
   /// The most recent successfully solved (non-degraded) epoch's
@@ -169,7 +161,6 @@ class Controller {
   Scenario scenario_;
   ControllerOptions options_;
   std::optional<lp::Basis> warm_basis_;
-  std::optional<lp::Basis> scan_warm_basis_;
   std::optional<Assignment> last_good_;
   int backoff_remaining_ = 0;
   int epochs_ = 0;

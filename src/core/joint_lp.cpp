@@ -121,7 +121,7 @@ void JointLp::build() {
 
 JointResult JointLp::solve(const lp::Options& lp_options, const lp::Basis* warm) const {
   const lp::Solution solution = lp::solve_revised(model_, lp_options, warm);
-  if (!solution.solved())
+  if (!solution.optimal())
     throw std::runtime_error("JointLp::solve: solver returned " +
                              lp::to_string(solution.status));
   const ProblemInput& in = *input_;

@@ -149,7 +149,7 @@ void ReplicationLp::build() {
 
 Assignment ReplicationLp::solve(const lp::Options& lp_options, const lp::Basis* warm) const {
   SolveResult result = try_solve(lp_options, warm);
-  if (!lp::solved(result.status))
+  if (result.status != lp::Status::kOptimal)
     throw std::runtime_error("ReplicationLp::solve: solver returned " +
                              lp::to_string(result.status));
   return std::move(result.assignment);
@@ -160,7 +160,7 @@ ReplicationLp::SolveResult ReplicationLp::try_solve(const lp::Options& lp_option
   SolveResult result;
   const lp::Solution solution = lp::solve_revised(model_, lp_options, warm);
   result.status = solution.status;
-  if (!solution.solved()) {
+  if (!solution.optimal()) {
     result.assignment.lp = solution;
     return result;
   }

@@ -38,17 +38,15 @@ class ReplicationLp {
   explicit ReplicationLp(const ProblemInput& input, ReplicationOptions options = {});
 
   /// Solves and decodes the assignment.  Throws std::runtime_error unless
-  /// the solver returns a deployable solution — kOptimal, or kGoodEnough
-  /// when Options::objective_tolerance allows a certified approximation.
-  /// (The formulation is always feasible: processing everything locally
-  /// satisfies every constraint, and under a failure mask per-class
-  /// coverage slack keeps it so.)
+  /// the solver returns kOptimal.  (The formulation is always feasible:
+  /// processing everything locally satisfies every constraint, and under a
+  /// failure mask per-class coverage slack keeps it so.)
   Assignment solve(const lp::Options& lp_options = {},
                    const lp::Basis* warm = nullptr) const;
 
   /// Non-throwing variant for callers with a fallback path (the degraded
   /// control loop): `status` reports the solver outcome and `assignment`
-  /// is decoded only when lp::solved(status) holds.
+  /// is decoded only when status is kOptimal.
   struct SolveResult {
     lp::Status status = lp::Status::kIterationLimit;
     Assignment assignment;

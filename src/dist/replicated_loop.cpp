@@ -1,6 +1,7 @@
 #include "dist/replicated_loop.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -31,6 +32,18 @@ void ReplicatedLoopOptions::validate() const {
         std::to_string(consensus_rounds));
   bus.validate();
   replica.validate();
+  if (faults == nullptr) return;
+  for (const sim::FailureEvent& e : faults->events()) {
+    int replica_id = -1;  // The highest replica the event names.
+    if (e.kind == sim::FailureKind::kControllerCrash) replica_id = e.target;
+    if (e.kind == sim::FailureKind::kPartition)
+      replica_id = static_cast<int>(std::bit_width(static_cast<unsigned>(e.target))) - 1;
+    if (replica_id < replicas) continue;
+    std::string message = "ReplicatedControlLoop: '";
+    message.append(sim::to_string(e)).append("' names replica ");
+    message.append(std::to_string(replica_id)).append(", outside [0, ");
+    throw std::invalid_argument(message.append(std::to_string(replicas)).append(")"));
+  }
 }
 
 ReplicatedControlLoop::ReplicatedControlLoop(

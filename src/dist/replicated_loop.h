@@ -71,8 +71,9 @@ struct ReplicatedLoopOptions {
   obs::Registry* metrics = nullptr;
 
   /// Throws std::invalid_argument on replicas outside [1, kMaxReplicas],
-  /// rounds below 1, or bad `bus` or `replica` options.  The constructor
-  /// calls this.
+  /// rounds below 1, bad `bus` or `replica` options, or a `faults`
+  /// controller_crash target or partition mask bit outside [0, replicas).
+  /// The constructor calls this.
   void validate() const;
 };
 

@@ -28,10 +28,6 @@ constexpr int kRefactorInterval = 96;
 // A dual pivot whose FTRAN and pivot-row values differ by more than this,
 // relatively, refactorizes and chooses again.
 constexpr double kPivotMismatch = 1e-6;
-// Relative slack on the candidate pass's gap sum before the bounded-accuracy
-// test reads the full scan's.  Sums of the same k nonnegative terms in two
-// orders differ by at most ~2k*eps relatively, far below this.
-constexpr double kGapSumSlack = 1e-6;
 
 // Column blocks (DESIGN.md §14).  A model with fewer nonzeros in [A | I]
 // than this walks its pivot rows and refreshes its duals on the caller's
@@ -115,11 +111,7 @@ class Simplex {
     // Phase 2: optimize the true objective.
     status = loop(/*phase1=*/false, sol);
     sol.status = status;
-    if (status == Status::kOptimal || status == Status::kGoodEnough) {
-      extract(sol);
-      sol.objective_bound =
-          status == Status::kGoodEnough ? certified_bound_ : sol.objective;
-    }
+    if (status == Status::kOptimal) extract(sol);
     return finish(sol, t0);
   }
 
@@ -471,19 +463,6 @@ class Simplex {
     return phase1 ? 0.0 : cost_[static_cast<std::size_t>(col)];
   }
 
-  /// Phase-2 objective of the current iterate, accumulated in long double
-  /// (part of the pivot hygiene: the certificate must not inherit rounding
-  /// from a few hundred thousand incremental updates).
-  double current_objective() {
-    KernelTimer timer(kernels_.pricing);
-    long double z = 0.0L;
-    for (int j = 0; j < matrix_.num_structural; ++j) {
-      const double c = cost_[static_cast<std::size_t>(j)];
-      if (c != 0.0) z += static_cast<long double>(c) * x_[static_cast<std::size_t>(j)];
-    }
-    return static_cast<double>(z);
-  }
-
   // ---- Steepest-edge (Devex reference framework) machinery -------------
 
   /// Recomputes every nonbasic reduced cost exactly from a fresh BTRAN of
@@ -569,21 +548,12 @@ class Simplex {
   struct PriceResult {
     int entering = -1;
     double d_enter = 0.0;
-    double gap = 0.0;              // Sum over eligible of |d_j| * range_j.
-    bool gap_unbounded = false;    // An eligible column has infinite range.
   };
 
   /// Folds an eligible column into a Devex pricing pass: keeps the column
   /// maximizing d_j^2 / ref_weight_j, ties to the smallest index, or in
   /// Bland mode the smallest index.
-  void consider(std::size_t uj, double violation, bool bland, PriceResult& pr,
-                double& best_score) const {
-    const double range = ub_[uj] - lb_[uj];
-    if (std::isfinite(range)) {
-      pr.gap += violation * range;
-    } else {
-      pr.gap_unbounded = true;
-    }
+  void consider(std::size_t uj, bool bland, PriceResult& pr, double& best_score) const {
     const int j = static_cast<int>(uj);
     const double dj = d_[uj];
     if (bland) {
@@ -616,22 +586,20 @@ class Simplex {
         continue;
       }
       candidates_[kept++] = j;
-      consider(uj, violation, bland, pr, best_score);
+      consider(uj, bland, pr, best_score);
     }
     candidates_.resize(kept);
     return pr;
   }
 
-  /// Devex pricing over every column in index order: certifies optimality
-  /// and supplies the index-order gap sum the bounded-accuracy test reads.
+  /// Devex pricing over every column in index order: certifies optimality.
   PriceResult price_full(bool bland) {
     KernelTimer timer(kernels_.pricing);
     PriceResult pr;
     double best_score = 0.0;
     for (int j = 0; j < num_cols_; ++j) {
       const std::size_t uj = static_cast<std::size_t>(j);
-      const double violation = dual_violation(uj);
-      if (violation > 0.0) consider(uj, violation, bland, pr, best_score);
+      if (dual_violation(uj) > 0.0) consider(uj, bland, pr, best_score);
     }
     return pr;
   }
@@ -1061,31 +1029,6 @@ class Simplex {
         continue;
       }
 
-      // Bounded-accuracy early termination: every eligible column has a
-      // finite range, so any feasible point's objective is at least
-      // z - sum(|d_j| * range_j) — stop once that provable gap is within
-      // the caller's tolerance.  Certified on exact (refreshed) duals and
-      // on the full scan's index-order sum, so summation order cannot move
-      // the stopping point.
-      if (!phase1 && opt_.objective_tolerance > 0.0 && !pr.gap_unbounded) {
-        const double z = current_objective();
-        const double budget = opt_.objective_tolerance * std::max(1.0, std::abs(z));
-        if (pr.gap <= budget * (1.0 + kGapSumSlack)) {
-          pr = price_full(bland);
-          if (pr.gap <= budget) {
-            if (!duals_fresh_) {
-              refresh_duals(false);
-              pr = price_full(bland);
-              if (pr.entering < 0) return Status::kOptimal;
-            }
-            if (!pr.gap_unbounded && pr.gap <= budget) {
-              certified_bound_ = z - pr.gap;
-              return Status::kGoodEnough;
-            }
-          }
-        }
-      }
-
       const int entering = pr.entering;
       const std::size_t ue = static_cast<std::size_t>(entering);
 
@@ -1381,7 +1324,6 @@ class Simplex {
   std::vector<double> y_;           // Dual workspace (m).
   std::vector<int> candidates_;     // Superset of the dual-infeasible columns.
   std::vector<char> in_candidates_; // Membership flags for candidates_.
-  double certified_bound_ = 0.0;    // kGoodEnough objective lower bound.
 
   // Dual simplex state (warm starts only).
   std::vector<double> dual_weight_;  // Dual Devex weights, by basis position.
@@ -1398,13 +1340,10 @@ Solution solve_with_blocks(const Model& model, const Options& options, const Bas
                            int blocks) {
   NWLB_CHECK_GE(options.max_iterations, 0, "solve_revised: negative iteration limit");
   NWLB_CHECK_GE(options.max_seconds, 0.0, "solve_revised: negative time budget");
-  NWLB_CHECK_GE(options.objective_tolerance, 0.0,
-                "solve_revised: negative objective tolerance");
   // The temporary Simplex, and with it the team, is gone before the check.
   Solution sol = Simplex(model, options, blocks).solve(warm);
-  if (sol.solved()) {
-    // Post-solve sanity: any deployed point must satisfy the model, a
-    // tolerance-certified one included.
+  if (sol.optimal()) {
+    // Post-solve sanity: any deployed point must satisfy the model.
     const double viol = model.max_violation(sol.x);
     if (viol > 1e-5) sol.status = Status::kNumericalFailure;
   }

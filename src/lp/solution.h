@@ -10,8 +10,6 @@ namespace nwlb::lp {
 
 enum class Status {
   kOptimal,
-  kGoodEnough,  // Primal feasible, objective certified within
-                // Options::objective_tolerance of the optimum.
   kInfeasible,
   kUnbounded,
   kIterationLimit,
@@ -25,7 +23,6 @@ enum class Status {
 inline std::string to_string(Status s) {
   switch (s) {
     case Status::kOptimal: return "optimal";
-    case Status::kGoodEnough: return "good-enough";
     case Status::kInfeasible: return "infeasible";
     case Status::kUnbounded: return "unbounded";
     case Status::kIterationLimit: return "iteration-limit";
@@ -33,12 +30,6 @@ inline std::string to_string(Status s) {
     case Status::kNumericalFailure: return "numerical-failure";
   }
   return "unknown";  // Unreachable: the switch above is exhaustive.
-}
-
-/// True for the statuses that carry a usable (primal-feasible, decoded)
-/// solution: an exact optimum or a tolerance-certified approximation.
-inline bool solved(Status s) {
-  return s == Status::kOptimal || s == Status::kGoodEnough;
 }
 
 /// Where a nonbasic variable rests; used for warm starts.
@@ -63,7 +54,7 @@ struct KernelSeconds {
   double factorize = 0.0;     // LU factorizations and basic-value rebuilds.
   double ftran = 0.0;         // Every B^-1 a solve.
   double btran = 0.0;         // Every B^-T c solve.
-  double pricing = 0.0;       // Entering-column choice (CHUZC) and its gap test.
+  double pricing = 0.0;       // Entering-column choice (CHUZC).
   double pivot_row = 0.0;     // Pivot-row walk: Devex weights, reduced costs.
   double dual_refresh = 0.0;  // Reduced-cost sweep over every column.
   double ratio_test = 0.0;    // Leaving-row choice (CHUZR).
@@ -79,11 +70,6 @@ struct KernelSeconds {
 struct Solution {
   Status status = Status::kNumericalFailure;
   double objective = 0.0;
-  /// Certified lower bound on the true optimum (minimization).  Equals
-  /// `objective` for kOptimal; for kGoodEnough the gap
-  /// `objective - objective_bound` is at most
-  /// Options::objective_tolerance * max(1, |objective|).
-  double objective_bound = 0.0;
   std::vector<double> x;      // Structural variable values (size n).
   std::vector<double> duals;  // Row duals y (size m); sign: y for a'x<=b is <=0
                               // under our min convention's internal form; see
@@ -96,9 +82,6 @@ struct Solution {
   Basis basis;  // Final basis, reusable as a warm start.
 
   bool optimal() const { return status == Status::kOptimal; }
-  /// Exact optimum or tolerance-certified approximation; either way the
-  /// primal point is feasible and safe to deploy.
-  bool solved() const { return lp::solved(status); }
 
   double value(VarId v) const { return x.at(static_cast<std::size_t>(v.value)); }
 };
@@ -128,13 +111,6 @@ struct Options {
   /// per-traffic-class start that made phase 1 blow up on ISP-scale
   /// instances.  Ignored when a warm basis is supplied.
   bool crash = true;
-
-  /// Bounded-accuracy early termination (revised simplex, phase 2).
-  /// When > 0, the solve stops with Status::kGoodEnough as soon as the
-  /// remaining dual infeasibilities certify the objective within
-  /// `objective_tolerance * max(1, |objective|)` of the optimum
-  /// (Solution::objective_bound carries the certified bound).  0 = exact.
-  double objective_tolerance = 0.0;
 };
 
 }  // namespace nwlb::lp

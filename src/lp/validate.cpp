@@ -49,12 +49,8 @@ SolutionValidationReport validate_solution(const Model& model, const Solution& s
            ", expected n+m = " + std::to_string(n + m));
   }
 
-  // kGoodEnough carries a primal-feasible point plus a gap certificate; it
-  // gets the full primal checks, relaxed dual checks, and a certificate
-  // audit instead of strong duality.  Other non-optimal statuses only get
-  // the structural checks above.
-  const bool approximate = solution.status == Status::kGoodEnough;
-  if (!solved(solution.status)) return report;
+  // Non-optimal statuses only get the structural checks above.
+  if (!solution.optimal()) return report;
 
   if (static_cast<int>(solution.x.size()) != n) {
     fail("solution has " + std::to_string(solution.x.size()) + " variables, expected " +
@@ -87,7 +83,7 @@ SolutionValidationReport validate_solution(const Model& model, const Solution& s
     fail(os.str());
   }
 
-  // Both solvers fill the duals of every solved status.
+  // Both solvers fill the duals of every optimal solution.
   if (static_cast<int>(solution.duals.size()) != m) {
     fail("dual vector has size " + std::to_string(solution.duals.size()) + ", expected " +
          std::to_string(m));
@@ -119,9 +115,6 @@ SolutionValidationReport validate_solution(const Model& model, const Solution& s
     if (sign_violation > dtol)
       fail("row " + std::to_string(r) + " dual has the wrong sign for its sense");
 
-    // A tolerance-certified stop leaves residual dual infeasibility by
-    // design; complementary slackness only binds at a true optimum.
-    if (approximate) continue;
     double activity = 0.0;
     for (const Entry& e : normalized.row_entries(RowId{r}))
       activity += e.coef * solution.x[to_index(e.var)];
@@ -143,42 +136,6 @@ SolutionValidationReport validate_solution(const Model& model, const Solution& s
   double dual_objective = 0.0;
   for (int r = 0; r < m; ++r)
     dual_objective += solution.duals[to_index(r)] * normalized.rhs(RowId{r});
-
-  if (approximate) {
-    // Audit the gap certificate: objective_bound must be a genuine lower
-    // bound on the optimum.  For sign-feasible duals y, the Lagrangian
-    // bound L(y) = y'b + sum_j min_{lo<=x<=hi} d_j x is always valid, and
-    // for the solver's own duals it equals objective - gap, so the stored
-    // bound may not exceed the recomputed L(y) (beyond roundoff).
-    long double lagrangian = dual_objective;
-    bool certifiable = true;
-    for (int j = 0; j < n; ++j) {
-      const double d = reduced[to_index(j)];
-      if (std::abs(d) <= dtol) continue;  // Same tolerance blindspot as the
-                                          // exact dual checks above.
-      const double edge = d > 0.0 ? normalized.lower(VarId{j}) : normalized.upper(VarId{j});
-      if (!std::isfinite(edge)) {
-        certifiable = false;
-        break;
-      }
-      lagrangian += static_cast<long double>(d) * edge;
-    }
-    const double slack = 10.0 * dtol * objective_scale;
-    if (!certifiable) {
-      fail("good-enough certificate requires finite bounds on every dual-infeasible column");
-    } else if (solution.objective_bound >
-               static_cast<double>(lagrangian) + slack) {
-      std::ostringstream os;
-      os << "stored objective bound " << solution.objective_bound
-         << " exceeds the recomputed Lagrangian bound " << static_cast<double>(lagrangian);
-      fail(os.str());
-    }
-    if (solution.objective_bound > solution.objective + slack)
-      fail("objective bound lies above the achieved objective");
-    report.duality_gap =
-        std::max(0.0, solution.objective - solution.objective_bound) / objective_scale;
-    return report;
-  }
 
   for (int j = 0; j < n; ++j) {
     const double x = solution.x[to_index(j)];

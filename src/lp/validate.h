@@ -34,11 +34,9 @@ struct SolutionValidationReport {
 /// primal feasibility, stored-objective consistency, one dual per row, dual
 /// feasibility of reduced costs with complementary slackness, strong
 /// duality, and basis column consistency (basic indices in range and
-/// distinct, state arrays sized n+m).  kGoodEnough solutions get the same primal checks plus an
-/// audit of the gap certificate (objective_bound must not exceed the
-/// Lagrangian bound recomputed from the duals) in place of strong duality.
-/// Other statuses only get structural checks.  Primal violations up to 1e-6
-/// and reduced-cost sign / duality-gap slack up to 1e-5 are tolerated.
+/// distinct, state arrays sized n+m).  Other statuses only get structural
+/// checks.  Primal violations up to 1e-6 and reduced-cost sign /
+/// duality-gap slack up to 1e-5 are tolerated.
 SolutionValidationReport validate_solution(const Model& model, const Solution& solution,
                                            const SolutionValidationOptions& options = {});
 

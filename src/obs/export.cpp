@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <string>
+#include <string_view>
 
 #include "util/table.h"
 
@@ -391,11 +393,20 @@ class JsonValidator {
     ++pos_;  // '{'
     skip_whitespace();
     if (consume('}')) return;
+    // Parsers keep one value per key, so a repeated key loses data.
+    std::set<std::string_view> keys;
     while (errors_.empty()) {
       skip_whitespace();
       if (pos_ >= text_.size() || text_[pos_] != '"')
         return fail("object key must be a string");
+      const std::size_t key_begin = pos_;
       parse_string();
+      const std::string_view key(text_.data() + key_begin, pos_ - key_begin);
+      if (!keys.insert(key).second) {
+        pos_ = key_begin;
+        std::string message = "repeated object key ";
+        return fail(message.append(key));
+      }
       skip_whitespace();
       if (!consume(':')) return fail("missing ':' after object key");
       skip_whitespace();

@@ -36,8 +36,9 @@ std::string to_json(const Registry& registry);
 std::vector<std::string> validate_prometheus_text(const std::string& text);
 
 /// Strict JSON syntax check (objects, arrays, strings with escapes,
-/// numbers, true/false/null; trailing garbage rejected).  Returns error
-/// messages; empty means the document parses.
+/// numbers, true/false/null; trailing garbage and a key repeated within one
+/// object rejected).  Returns error messages; empty means the document
+/// parses.
 std::vector<std::string> validate_json(const std::string& text);
 
 /// Writes `<base>.prom` (Prometheus text) and `<base>.json` (JSON with the

@@ -30,10 +30,10 @@ void ControlLoopOptions::validate() const {
     throw std::invalid_argument(
         "ControlLoopOptions: epoch_max_seconds must be >= 0, got " +
         std::to_string(epoch_max_seconds));
-  if (!(epoch_objective_tolerance >= 0.0 && epoch_objective_tolerance < 1.0))
+  if (epoch_objective_tolerance != 0.0)
     throw std::invalid_argument(
-        "ControlLoopOptions: epoch_objective_tolerance must lie in [0, 1), "
-        "got " +
+        "ControlLoopOptions: epoch_objective_tolerance must be 0 (every epoch is an exact "
+        "solve), got " +
         std::to_string(epoch_objective_tolerance));
 }
 
@@ -65,7 +65,6 @@ IntervalReport ControlLoop::run_interval(std::span<const sim::SessionSpec> sessi
   core::EpochRequest request;
   request.tm = &tm;
   request.max_solve_seconds = options_.epoch_max_seconds;
-  request.objective_tolerance = options_.epoch_objective_tolerance;
   request.failures.down_nodes = sim_->down_mirrors();
   report.failures_reported = static_cast<int>(request.failures.down_nodes.size());
 
@@ -98,10 +97,6 @@ void ControlLoop::record_interval(const IntervalReport& report) const {
   if (report.epoch.degraded)
     reg.counter("nwlb_online_degraded_epochs_total", {},
                 "Intervals whose epoch reported a degraded plan")
-        .inc();
-  if (report.epoch.approximate)
-    reg.counter("nwlb_online_approximate_epochs_total", {},
-                "Intervals served a tolerance-certified good-enough plan")
         .inc();
   reg.gauge("nwlb_online_estimate_total_sessions", {},
             "Estimated traffic-matrix mass fed to the last epoch")

@@ -50,10 +50,11 @@ struct ControlLoopOptions {
 
   /// Per-interval epoch budget: when > 0 each epoch request overrides the
   /// controller's lp.max_seconds so one slow solve cannot eat the control
-  /// period (the solve degrades or stops at a good-enough plan instead).
+  /// period (the epoch degrades instead).
   double epoch_max_seconds = 0.0;
-  /// When > 0, interval solves may stop at a tolerance-certified
-  /// lp::Status::kGoodEnough plan within this relative objective gap.
+  /// Must be 0: every interval's epoch is one exact solve, and validate()
+  /// rejects any other value.  Kept because the end-to-end benchmark
+  /// assigns it.
   double epoch_objective_tolerance = 0.0;
 
   /// When set, every interval records nwlb_online_* metrics.  Must outlive

@@ -1,5 +1,7 @@
 // Degraded reconfiguration: apply_failures, the LP-free patch, and the
 // controller's two-tier failure response with solver budgets.
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -11,6 +13,7 @@
 #include "core/scenario.h"
 #include "topo/topology.h"
 #include "traffic/matrix.h"
+#include "traffic/variability.h"
 
 namespace nwlb::core {
 namespace {
@@ -208,6 +211,39 @@ TEST(Controller, BudgetExhaustionNeverAbortsAnEpoch) {
   EXPECT_TRUE(backed_off.degraded);
   EXPECT_TRUE(backed_off.has_reason(DegradedReason::kResolveBackoff));
   EXPECT_EQ(backed_off.iterations, 0);
+}
+
+// An epoch's time counts every attempt: when the warm re-solve runs out of
+// its budget and so does the cold retry, the epoch took both budgets.  The
+// budget is half of the fastest of three unbounded warm re-solves of the
+// same epoch, so the warm attempt runs out on any host; Geant's re-solve
+// takes 57 pivots, enough for the solver's deadline checks to catch it.
+TEST(Controller, SolveSecondsCountTheWarmAttemptAndTheColdRetry) {
+  const topo::Topology geant = topo::topology_by_name("Geant");
+  const traffic::TrafficMatrix tm =
+      traffic::gravity_matrix(geant.graph, traffic::paper_total_sessions(22));
+  const traffic::VariabilityModel model(traffic::abilene_like_factor_cdf());
+  const traffic::TrafficMatrix drifted = model.sample_many(tm, 1, 17).front();
+  const auto second_epoch = [&](double budget) {
+    Controller controller(geant, tm, Architecture::kPathReplicate);
+    controller.run({.tm = &tm});
+    return controller.run({.tm = &drifted, .max_solve_seconds = budget});
+  };
+
+  double warm_seconds = std::numeric_limits<double>::infinity();
+  for (int run = 0; run < 3; ++run) {
+    const EpochResult unbounded = second_epoch(0.0);
+    ASSERT_TRUE(unbounded.warm_started);
+    ASSERT_FALSE(unbounded.degraded) << to_string(unbounded.degraded_reasons);
+    warm_seconds = std::min(warm_seconds, unbounded.solve_seconds);
+  }
+  const double budget = warm_seconds / 2.0;
+  const EpochResult starved = second_epoch(budget);
+  // Budget exhaustion after a warm start means the cold retry ran out too.
+  ASSERT_TRUE(starved.has_reason(DegradedReason::kLpBudgetExhausted))
+      << to_string(starved.degraded_reasons);
+  EXPECT_FALSE(starved.warm_started);
+  EXPECT_GE(starved.solve_seconds, 2.0 * budget);
 }
 
 TEST(Controller, BudgetedEpochStillSolvesWhenBudgetSuffices) {

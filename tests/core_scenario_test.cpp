@@ -116,27 +116,6 @@ TEST(Controller, EpochsProduceConfigsAndWarmStarts) {
   for (double cov : second.assignment.coverage) EXPECT_NEAR(cov, 1.0, 1e-6);
 }
 
-TEST(Controller, ScanAggregationEpochs) {
-  ScenarioFixture f;
-  ControllerOptions options;
-  options.architecture = Architecture::kPathReplicate;
-  options.enable_scan_aggregation = true;
-  options.aggregation.beta = 0.05;
-  Controller controller(f.topology, f.tm, options);
-  const EpochResult first = controller.run({.tm = &f.tm});
-  ASSERT_TRUE(first.scan.has_value());
-  EXPECT_GT(first.scan->comm_cost, -1e-9);
-  // Scan coverage is complete every epoch.
-  for (std::size_t c = 0; c < first.scan->process.size(); ++c) {
-    double total = 0.0;
-    for (const auto& share : first.scan->process[c]) total += share.fraction;
-    EXPECT_NEAR(total, 1.0, 1e-6);
-  }
-  const EpochResult second = controller.run({.tm = &f.tm});
-  EXPECT_TRUE(second.warm_started);
-  ASSERT_TRUE(second.scan.has_value());
-}
-
 TEST(Controller, IngressControllerNeedsNoLp) {
   ScenarioFixture f;
   Controller controller(f.topology, f.tm, Architecture::kIngress);

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -367,6 +368,27 @@ TEST(ReplicatedLoopOptions, ValidateRejectsEachBadValue) {
     ReplicatedLoopOptions options;
     spoil(options);
     EXPECT_THROW(options.validate(), std::invalid_argument) << what;
+  }
+}
+
+TEST(ReplicatedLoopOptions, ValidateRejectsControlPlaneTargetsOutsideTheCluster) {
+  ReplicatedLoopOptions options;  // Three replicas: ids 0, 1 and 2.
+  const sim::FailureSchedule edge =
+      sim::FailureSchedule::parse("controller_crash 2 0 -; partition 7 0 -; crash 9 0 -");
+  options.faults = &edge;
+  EXPECT_NO_THROW(options.validate());
+
+  for (const char* spec : {"controller_crash 3 0 -", "partition 8 0 -", "partition 9 0 -"}) {
+    const sim::FailureSchedule faults = sim::FailureSchedule::parse(spec);
+    options.faults = &faults;
+    try {
+      options.validate();
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(spec), std::string::npos) << message;
+      EXPECT_NE(message.find("outside [0, 3)"), std::string::npos) << message;
+    }
   }
 }
 

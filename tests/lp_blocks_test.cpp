@@ -43,8 +43,6 @@ void expect_identical(const Solution& want, const Solution& got) {
   EXPECT_EQ(got.status, want.status);
   EXPECT_TRUE(same_bits(got.objective, want.objective))
       << got.objective << " vs " << want.objective;
-  EXPECT_TRUE(same_bits(got.objective_bound, want.objective_bound))
-      << got.objective_bound << " vs " << want.objective_bound;
   expect_same_values(want.x, got.x, "x");
   expect_same_values(want.duals, got.duals, "duals");
   EXPECT_EQ(got.basis.basic, want.basis.basic);
@@ -67,7 +65,7 @@ Solution solve_in(int blocks, const Model& model, const Options& options = {},
 /// block count must reproduce it bit for bit.
 void expect_block_invariant(const BlockedSolve& scenario, PivotCounts pinned) {
   const Solution reference = scenario(1);
-  ASSERT_TRUE(reference.solved()) << to_string(reference.status);
+  ASSERT_TRUE(reference.optimal()) << to_string(reference.status);
   EXPECT_EQ(reference.iterations, pinned.iterations);
   EXPECT_EQ(reference.phase1_iterations, pinned.phase1_iterations);
   EXPECT_EQ(reference.refactorizations, pinned.refactorizations);
@@ -77,7 +75,7 @@ void expect_block_invariant(const BlockedSolve& scenario, PivotCounts pinned) {
   }
 }
 
-// The five PivotIdentity scenarios of lp_steepest_test, at 1, 2 and 3 blocks.
+// The PivotIdentity scenarios of lp_steepest_test, at 1, 2 and 3 blocks.
 TEST(ColumnBlocks, ColdShapedSolve) {
   const ShapedLp shaped = make_shaped(150, 12, 0x90d1);
   expect_block_invariant([&](int blocks) { return solve_in(blocks, shaped.model); },
@@ -103,19 +101,6 @@ TEST(ColumnBlocks, DegenerateBlandSolve) {
                          {2011, 94, 22});
 }
 
-TEST(ColumnBlocks, GoodEnoughStopsAtTheSamePivot) {
-  const ShapedLp shaped = make_shaped(150, 12, 0x90d1);
-  Options opt;
-  opt.objective_tolerance = 0.05;
-  expect_block_invariant(
-      [&](int blocks) {
-        Solution s = solve_in(blocks, shaped.model, opt);
-        EXPECT_EQ(s.status, Status::kGoodEnough);
-        return s;
-      },
-      {1174, 158, 14});
-}
-
 // A real ISP-size replication LP, large enough that the solver splits it on
 // its own: the controller's steady state, a warm re-solve after demand
 // drifted, must not depend on the block count either.
@@ -126,7 +111,7 @@ TEST(ColumnBlocks, SprintWarmResolveAfterLoadDrift) {
   const core::Scenario scenario(sprint, tm);
   const core::ReplicationLp base(scenario.problem(core::Architecture::kPathReplicate));
   const Solution cold = solve_revised(base.model());
-  ASSERT_TRUE(cold.solved()) << to_string(cold.status);
+  ASSERT_TRUE(cold.optimal()) << to_string(cold.status);
 
   // Every 7th class gains 10% demand: its load-row coefficients move.
   auto drifted_tm = tm;
@@ -141,7 +126,7 @@ TEST(ColumnBlocks, SprintWarmResolveAfterLoadDrift) {
   const core::ReplicationLp lp(drifted.problem(core::Architecture::kPathReplicate));
 
   const Solution reference = solve_in(1, lp.model(), {}, &cold.basis);
-  ASSERT_TRUE(reference.solved()) << to_string(reference.status);
+  ASSERT_TRUE(reference.optimal()) << to_string(reference.status);
   EXPECT_GT(reference.iterations + reference.phase1_iterations, 0);
   for (const int blocks : kBlockCounts) {
     SCOPED_TRACE(testing::Message() << blocks << " blocks");

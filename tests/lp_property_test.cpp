@@ -312,7 +312,7 @@ TEST_P(LpWarmEdits, WarmResolvesMatchTheOracle) {
     }
     last = solve_revised(model, {}, basis.empty() ? nullptr : &basis);
     expect_oracle_optimum(model, last, "step " + std::to_string(step) + " (" + what + ")");
-    if (last.solved()) basis = last.basis;
+    if (last.optimal()) basis = last.basis;
   }
 }
 

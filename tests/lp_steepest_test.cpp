@@ -1,6 +1,6 @@
-// Steepest-edge pricing, bounded-accuracy termination, and warm
-// re-solves — the machinery that makes ISP-scale replication LPs solve
-// instead of timing out (the "TiNet blowup" fix).
+// Steepest-edge pricing and warm re-solves — the machinery that makes
+// ISP-scale replication LPs solve instead of timing out (the "TiNet blowup"
+// fix).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,64 +8,12 @@
 
 #include "lp/dense_simplex.h"
 #include "lp/revised_simplex.h"
-#include "lp/validate.h"
 #include "lp_shaped.h"
 
 namespace nwlb::lp {
 namespace {
 
 int total_iterations(const Solution& s) { return s.iterations + s.phase1_iterations; }
-
-TEST(SteepestEdge, ObjectiveBoundEqualsObjectiveAtOptimum) {
-  const ShapedLp shaped = make_shaped(10, 4, 0x0b1a5);
-  const Solution s = solve_revised(shaped.model);
-  ASSERT_EQ(s.status, Status::kOptimal);
-  EXPECT_DOUBLE_EQ(s.objective_bound, s.objective);
-}
-
-// Bounded-accuracy early termination: with a tolerance the solve may stop
-// at kGoodEnough, and whatever it returns must be primal feasible with an
-// objective provably within the tolerance of the exact optimum.
-TEST(GoodEnough, CertifiedWithinToleranceOfExactOptimum) {
-  const ShapedLp shaped = make_shaped(40, 6, 0x600d);
-  const Solution exact = solve_revised(shaped.model);
-  ASSERT_EQ(exact.status, Status::kOptimal);
-
-  for (const double tolerance : {0.01, 0.1, 0.5}) {
-    Options opt;
-    opt.objective_tolerance = tolerance;
-    const Solution approx = solve_revised(shaped.model, opt);
-    ASSERT_TRUE(approx.solved()) << to_string(approx.status);
-    const double scale = std::max(1.0, std::abs(exact.objective));
-    // Achieved objective within tolerance of the optimum...
-    EXPECT_LE(approx.objective, exact.objective + tolerance * scale + 1e-6);
-    // ...and the certificate brackets the optimum from below.
-    EXPECT_LE(approx.objective_bound, exact.objective + 1e-6 * scale);
-    EXPECT_GE(approx.objective, approx.objective_bound - 1e-9);
-    EXPECT_LE(shaped.model.max_violation(approx.x), 1e-6);
-    // The validator must accept the tolerance-certified solution.
-    const auto report = validate_solution(shaped.model, approx);
-    EXPECT_TRUE(report.ok()) << report.to_string();
-  }
-}
-
-// A coarse tolerance on a large shaped instance must actually exercise the
-// early exit (not just fall through to optimality) and save iterations.
-TEST(GoodEnough, CoarseToleranceStopsEarly) {
-  const ShapedLp shaped = make_shaped(120, 10, 0xeaa17);
-  const Solution exact = solve_revised(shaped.model);
-  ASSERT_EQ(exact.status, Status::kOptimal);
-  Options opt;
-  opt.objective_tolerance = 0.25;
-  const Solution approx = solve_revised(shaped.model, opt);
-  ASSERT_TRUE(approx.solved()) << to_string(approx.status);
-  EXPECT_LE(total_iterations(approx), total_iterations(exact));
-  if (approx.status == Status::kGoodEnough) {
-    EXPECT_LT(total_iterations(approx), total_iterations(exact));
-    const auto report = validate_solution(shaped.model, approx);
-    EXPECT_TRUE(report.ok()) << report.to_string();
-  }
-}
 
 // Pivot identity: the entering-column rule may get faster, but it must not
 // change a single choice.  These counts were recorded before the pricing
@@ -114,17 +62,6 @@ TEST(PivotIdentity, DegenerateBlandSolve) {
               1e-6 * std::max(1.0, std::abs(plain.objective)));
   EXPECT_NE(total_iterations(bland), total_iterations(plain));
   expect_pivots(bland, {2011, 94, 22});
-}
-
-// Bounded-accuracy termination reads the pricing pass's gap certificate
-// every phase-2 iteration, so its stopping point is pinned too.
-TEST(PivotIdentity, GoodEnoughStopsAtTheSamePivot) {
-  const ShapedLp shaped = make_shaped(150, 12, 0x90d1);
-  Options opt;
-  opt.objective_tolerance = 0.05;
-  const Solution s = solve_revised(shaped.model, opt);
-  ASSERT_EQ(s.status, Status::kGoodEnough);
-  expect_pivots(s, {1174, 158, 14});
 }
 
 // Warm re-solves through at-upper nonbasics and a node-down (0,0) bound

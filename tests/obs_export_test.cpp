@@ -71,6 +71,19 @@ TEST(ObsExport, JsonValidatorRejectsMalformedDocuments) {
   EXPECT_TRUE(validate_json("{\"a\":[1,2.5e-3,\"\\u00e9\",true,null]}").empty());
 }
 
+// json.load and jq keep only a repeated key's last value, so a ledger row
+// with two columns of one name would silently lose the first.
+TEST(ObsExport, JsonValidatorRejectsRepeatedKeys) {
+  const std::vector<std::string> errors =
+      validate_json("[{\"Topology\":\"NTT\",\"Iters\":18810,\"Iters\":5701}]");
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors.front().find("repeated object key \"Iters\""), std::string::npos)
+      << errors.front();
+  // The same key in two objects, or nested under another key, is fine.
+  EXPECT_TRUE(validate_json("[{\"a\":1},{\"a\":2}]").empty());
+  EXPECT_TRUE(validate_json("{\"a\":{\"a\":1},\"b\":{\"a\":2}}").empty());
+}
+
 TEST(ObsExport, EqualValuesRenderByteIdentically) {
   Registry a, b;
   populated(a);

@@ -247,8 +247,11 @@ TEST(ControlLoopOptions, ValidateRejectsEveryBadField) {
   ControlLoopOptions bad_budget;
   bad_budget.epoch_max_seconds = -1.0;
   EXPECT_THROW(bad_budget.validate(), std::invalid_argument);
+  // Every epoch is one exact solve: only a zero tolerance is accepted.
   ControlLoopOptions bad_tolerance;
   bad_tolerance.epoch_objective_tolerance = 1.0;
+  EXPECT_THROW(bad_tolerance.validate(), std::invalid_argument);
+  bad_tolerance.epoch_objective_tolerance = 0.05;
   EXPECT_THROW(bad_tolerance.validate(), std::invalid_argument);
 
   // The constructor enforces the same contract: a misconfigured loop

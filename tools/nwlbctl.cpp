@@ -129,6 +129,12 @@ const char* how_to_select(unsigned modes) {
   }
 }
 
+/// Rejects `what`, which only the runs in `modes` read, given to `mode`.
+[[noreturn]] void reject_unread(std::string what, unsigned modes, Mode mode) {
+  what.append(" needs ").append(how_to_select(modes)).append("; ");
+  throw std::invalid_argument(what.append(mode_name(mode)).append(" never reads it"));
+}
+
 /// A flag's value, taken only when the flag's row reads one: from
 /// `--flag=value` or from the next token.
 struct Arg {
@@ -305,7 +311,8 @@ Replicated control plane (with --live):
                           lease leader emits generations, and installs pass
                           a fenced gate (no regression, no split-brain).
                           controller_crash / partition schedule events
-                          exercise failover.            (default 1 = off)
+                          exercise failover; they name replicas below N,
+                          and no other run takes them.  (default 1 = off)
   --rounds <n>            Consensus bus rounds per interval     (default 8)
   --lease <n>             Leader lease, in control intervals    (default 3)
   --drop <p>              Bus message-loss probability          (default 0)
@@ -353,8 +360,7 @@ std::optional<CliOptions> parse(int argc, char** argv) {
     if ((flag->modes & mode) != 0) continue;
     std::string message = flag->name;
     if (value) message.append(" '").append(*value).append("'");
-    message.append(" needs ").append(how_to_select(flag->modes)).append("; ");
-    throw std::invalid_argument(message.append(mode_name(mode)).append(" never reads it"));
+    reject_unread(std::move(message), flag->modes, mode);
   }
   return opt;
 }
@@ -457,7 +463,15 @@ struct Deployment {
     copts.scenario.placement = parse_placement(opt.placement);
     copts.lp.max_seconds = 10.0;  // One runaway solve degrades, never stalls.
 
+    const Mode mode = mode_of(opt);
     if (!opt.failures.empty()) schedule = load_schedule(opt.failures);
+    if (schedule && mode != kReplicated) {
+      // Only the replicated loop reads control-plane events.
+      for (const sim::FailureEvent& e : schedule->events())
+        if (e.kind == sim::FailureKind::kControllerCrash || e.kind == sim::FailureKind::kPartition)
+          reject_unread(std::string("--failures '").append(sim::to_string(e)).append("'"),
+                        kReplicated, mode);
+    }
     const sim::ReplayOptions ropts{
         .num_workers = opt.workers,
         .failures = schedule ? &*schedule : nullptr,
@@ -480,7 +494,6 @@ struct Deployment {
     replicated.rollout = live.rollout;
     replicated.faults = ropts.failures;
     replicated.metrics = &registry;
-    const Mode mode = mode_of(opt);
     if (mode == kLive) live.validate();
     if (mode == kReplicated) replicated.validate();
 
