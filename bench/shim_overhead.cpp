@@ -50,8 +50,7 @@ void BM_ShimDecide(benchmark::State& state) {
   table.add(shim::HashRange{0, third, shim::Action::process()});
   table.add(shim::HashRange{third, 2 * third, shim::Action::replicate(7)});
   config.set_table(0, table);
-  shim::Shim shim(0);
-  shim.install(std::move(config));  // nwlb-lint: allow(raw-shim-install)
+  const shim::Shim shim(0, config);
   const auto tuples = make_tuples(4096);
   shim::ShimStats stats;
   std::size_t i = 0;
@@ -71,8 +70,7 @@ void BM_ShimDecideManyClasses(benchmark::State& state) {
     table.add(shim::HashRange{0, shim::kHashSpace / 2, shim::Action::process()});
     config.set_table(c, std::move(table));
   }
-  shim::Shim shim(0);
-  shim.install(std::move(config));  // nwlb-lint: allow(raw-shim-install)
+  const shim::Shim shim(0, config);
   const auto tuples = make_tuples(4096);
   shim::ShimStats stats;
   std::size_t i = 0;

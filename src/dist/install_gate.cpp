@@ -21,12 +21,11 @@ online::RolloutReport InstallGate::admit(sim::ReplaySimulator& sim, int leader,
     NWLB_CHECK_EQ(leader, last_leader_, "InstallGate: two installers in term ",
                   term);
   }
-  NWLB_CHECK_GT(bundle.generation, last_generation_,
+  NWLB_CHECK_GT(bundle.generation, last_generation(),
                 "InstallGate: generation regression (replica ", leader,
-                " offered ", bundle.generation, " after ", last_generation_,
+                " offered ", bundle.generation, " after ", last_generation(),
                 ")");
   online::RolloutReport report = rollout_.apply(sim, std::move(bundle));
-  last_generation_ = report.generation;
   last_term_ = term;
   last_leader_ = leader;
   return report;

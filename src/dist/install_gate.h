@@ -26,8 +26,7 @@ namespace nwlb::dist {
 class InstallGate {
  public:
   InstallGate(shim::ConfigBundle initial, online::RolloutOptions options)
-      : rollout_(std::move(initial), options),
-        last_generation_(rollout_.current().generation) {}
+      : rollout_(std::move(initial), options) {}
 
   /// Fenced install: asserts lease validity, term/leader fencing, and
   /// generation monotonicity, then applies via the rollout engine.
@@ -35,14 +34,16 @@ class InstallGate {
                               std::uint64_t term, bool lease_valid,
                               std::uint64_t tick, shim::ConfigBundle bundle);
 
-  std::uint64_t last_generation() const { return last_generation_; }
+  /// The last admitted generation (the boot bundle's before any admit):
+  /// the rollout engine adopts every applied bundle's tag, installed or
+  /// skipped as identical.
+  std::uint64_t last_generation() const { return rollout_.current().generation; }
   std::uint64_t last_term() const { return last_term_; }
   int last_leader() const { return last_leader_; }
   const online::RolloutEngine& rollout() const { return rollout_; }
 
  private:
   online::RolloutEngine rollout_;
-  std::uint64_t last_generation_;
   std::uint64_t last_term_ = 0;
   int last_leader_ = -1;
 };

@@ -94,18 +94,22 @@ void Replica::run_round(MessageBus& bus, std::uint64_t tick, int round,
 
 int Replica::end_interval(std::uint64_t tick) {
   (void)tick;
-  // The estimator's partial hooks own the digest merge, so this code path
-  // is identical for every registered estimator kind: sum the heard
+  // The merge is plain addition on the estimator's inputs, so this code
+  // path is identical for every registered estimator kind: sum the heard
   // per-origin slices, then fold the digest through whatever state
   // machine the spec selected.
-  estimator_->begin_partials();
+  digest_sessions_.assign(num_classes_, 0);
+  digest_bytes_.assign(num_classes_, 0);
   int heard = 0;
   for (const auto& partial : heard_) {
     if (!partial) continue;
     ++heard;
-    estimator_->merge_partial(partial->sessions, partial->bytes);
+    for (std::size_t c = 0; c < num_classes_; ++c) {
+      digest_sessions_[c] += partial->sessions[c];
+      digest_bytes_[c] += partial->bytes[c];
+    }
   }
-  estimator_->commit_partials();
+  estimator_->observe(digest_sessions_, digest_bytes_);
   return heard;
 }
 
@@ -141,6 +145,8 @@ void Replica::handle(const Message& msg, MessageBus& bus, std::uint64_t tick) {
       for (const EstimatePartial& partial : msg.partials) {
         if (partial.origin < 0 || partial.origin >= num_replicas_) continue;
         NWLB_CHECK_EQ(partial.sessions.size(), num_classes_,
+                      "Replica: gossip partial shape mismatch");
+        NWLB_CHECK_EQ(partial.bytes.size(), num_classes_,
                       "Replica: gossip partial shape mismatch");
         auto& slot = heard_[static_cast<std::size_t>(partial.origin)];
         if (!slot) slot = partial;  // Union merge: first copy wins, dups no-op.
@@ -208,11 +214,7 @@ void Replica::handle(const Message& msg, MessageBus& bus, std::uint64_t tick) {
       if (role_ == Role::kLeader && msg.term == term_ &&
           msg.lease_until == proposed_lease_until_) {
         ++acks_;
-        if (acks_ + 1 >= majority()) {
-          committed_lease_until_ =
-              std::max(committed_lease_until_, proposed_lease_until_);
-          lease_until_ = std::max(lease_until_, committed_lease_until_);
-        }
+        maybe_commit_lease();
       }
       return;
     }
@@ -257,10 +259,18 @@ void Replica::maybe_win(MessageBus& bus, std::uint64_t tick) {
   broadcast_heartbeat(bus, tick);
 }
 
+void Replica::maybe_commit_lease() {
+  // The leader backs its own proposal, so a majority less one ack commits.
+  if (acks_ + 1 < majority()) return;
+  committed_lease_until_ = std::max(committed_lease_until_, proposed_lease_until_);
+  lease_until_ = std::max(lease_until_, committed_lease_until_);
+}
+
 void Replica::broadcast_heartbeat(MessageBus& bus, std::uint64_t tick) {
   proposed_lease_until_ =
       std::max(committed_lease_until_, tick + options_.lease_ticks);
   acks_ = 0;
+  maybe_commit_lease();  // A single-replica cluster is its own majority.
   for (int peer = 0; peer < num_replicas_; ++peer) {
     if (peer == id_) continue;
     Message beat;

@@ -113,14 +113,10 @@ class Replica {
 
   // --- Digest / estimate -------------------------------------------------
   int replicas_heard() const;
-  /// The summed digest the estimator last folded (the interface's merged
-  /// partial sums — valid after end_interval()).
-  const std::vector<std::uint64_t>& digest_sessions() const {
-    return estimator_->merged_sessions();
-  }
-  const std::vector<std::uint64_t>& digest_bytes() const {
-    return estimator_->merged_bytes();
-  }
+  /// The summed digest the estimator last folded (valid after
+  /// end_interval()).
+  const std::vector<std::uint64_t>& digest_sessions() const { return digest_sessions_; }
+  const std::vector<std::uint64_t>& digest_bytes() const { return digest_bytes_; }
   const online::Estimator& estimator() const { return *estimator_; }
   core::Controller& controller() { return controller_; }
 
@@ -132,6 +128,8 @@ class Replica {
   void handle(const Message& msg, MessageBus& bus, std::uint64_t tick);
   void start_election(MessageBus& bus, std::uint64_t tick);
   void maybe_win(MessageBus& bus, std::uint64_t tick);
+  /// Commits the proposed lease once a majority has acked it.
+  void maybe_commit_lease();
   void broadcast_heartbeat(MessageBus& bus, std::uint64_t tick);
   void gossip(MessageBus& bus, std::uint64_t tick, int round);
   /// Candidacy rounds are staggered by replica id so simultaneous
@@ -164,10 +162,11 @@ class Replica {
   std::uint64_t known_generation_ = 0;
   std::uint64_t elections_ = 0;
 
-  // Per-interval gossip scratch.  The merged digest itself lives in the
-  // estimator's partial-merge hooks (estimator-agnostic by design).
+  // Per-interval gossip scratch, and the digest end_interval() sums it into.
   std::uint64_t interval_tick_ = 0;
   std::vector<std::optional<EstimatePartial>> heard_;  // Keyed by origin.
+  std::vector<std::uint64_t> digest_sessions_;
+  std::vector<std::uint64_t> digest_bytes_;
 };
 
 }  // namespace nwlb::dist

@@ -15,7 +15,7 @@ constexpr std::array<std::string_view, 2> kKinds = {"ewma", "var-ewma"};
 constexpr std::string_view kGrammar =
     "estimator spec grammar: kind[:key=value[,key=value]...] with kind in "
     "{ewma, var-ewma}; both take keys {window, floor, scale}, var-ewma also "
-    "{variance-window, headroom, cap, burst}";
+    "{variance-window, headroom, cap}";
 
 [[noreturn]] void reject(std::string_view spec, const std::string& why) {
   throw std::invalid_argument("estimator spec \"" + std::string(spec) + "\": " +
@@ -187,18 +187,12 @@ class EwmaEstimator final : public WindowedEstimator {
   double rate(std::size_t c) const override { return mean_rate(c); }
 };
 
-// ---- var-ewma: EWMA level + innovation variance -> burst response ---------
+// ---- var-ewma: EWMA level + innovation variance -> burst headroom --------
 //
-// The tracked variance is used twice:
-//   * burst onset detection — an UP innovation beyond burst_sigmas·σ̂
-//     snaps the level to the observation, because under long-range
-//     dependence a jump that large marks the start of a sustained episode
-//     and smoothing into it at alpha costs several windows of
-//     under-provisioning (the tail windows the selfsimilar_tracking bench
-//     prices).  Ordinary innovations smooth exactly like plain ewma, so
-//     calm-traffic plans — and therefore rollout churn — stay identical.
-//   * headroom — the estimate is inflated by k·σ̂/level (capped) so the
-//     LP keeps a hedge on the classes that have recently been volatile.
+// The level follows the plain ewma recurrence; the tracked innovation
+// variance sets the headroom: the estimate is inflated by k·σ̂/level
+// (capped) so the LP keeps a hedge on the classes that have recently been
+// volatile.
 class VarEwmaEstimator final : public WindowedEstimator {
  public:
   VarEwmaEstimator(const std::vector<traffic::TrafficClass>& classes,
@@ -220,18 +214,12 @@ class VarEwmaEstimator final : public WindowedEstimator {
       return;
     }
     const double innovation = sessions - level_[c];
-    // Sigma-hat from *past* innovations only — the trigger must compare
-    // this window's jump against what was normal before it.
-    const double sigma = std::sqrt(var_[c]);
     // Same warm-up floor as the level: the first innovation seeds the
     // variance outright instead of being scaled by a tiny alpha.
     const double av = std::max(
         var_alpha_, 1.0 / static_cast<double>(intervals_observed()));
     var_[c] = av * innovation * innovation + (1.0 - av) * var_[c];
-    const bool burst = options().burst_sigmas > 0.0 &&
-                       intervals_observed() >= 2 &&
-                       innovation > options().burst_sigmas * sigma;
-    level_[c] = burst ? sessions : level_[c] + a * innovation;
+    level_[c] += a * innovation;
 
     // Quantize the headroom fraction to coarse steps with hysteresis
     // (a Schmitt trigger): sigma-hat drifts a little every window, and
@@ -285,31 +273,6 @@ void validate_estimator_options(const EstimatorOptions& options) {
   if (!(options.headroom_cap >= 0.0) || !std::isfinite(options.headroom_cap))
     throw std::invalid_argument(
         "EstimatorOptions: headroom_cap must be finite and >= 0");
-  if (!(options.burst_sigmas >= 0.0) || !std::isfinite(options.burst_sigmas))
-    throw std::invalid_argument(
-        "EstimatorOptions: burst_sigmas must be finite and >= 0 (0 disables "
-        "the burst trigger)");
-}
-
-void Estimator::begin_partials() {
-  merged_sessions_.assign(num_classes(), 0);
-  merged_bytes_.assign(num_classes(), 0);
-}
-
-void Estimator::merge_partial(std::span<const std::uint64_t> sessions,
-                              std::span<const std::uint64_t> bytes) {
-  if (merged_sessions_.size() != num_classes()) begin_partials();
-  if (sessions.size() != num_classes() || bytes.size() != num_classes())
-    throw std::invalid_argument("Estimator: partial span size mismatch");
-  for (std::size_t c = 0; c < sessions.size(); ++c) {
-    merged_sessions_[c] += sessions[c];
-    merged_bytes_[c] += bytes[c];
-  }
-}
-
-void Estimator::commit_partials() {
-  if (merged_sessions_.size() != num_classes()) begin_partials();
-  observe(merged_sessions_, merged_bytes_);
 }
 
 std::string_view estimator_spec_grammar() { return kGrammar; }
@@ -337,8 +300,8 @@ EstimatorSpec parse_estimator_spec(std::string_view spec,
       reject(spec, "expected key=value, got '" + std::string(pair) + "'");
     const std::string_view key = pair.substr(0, eq);
     const std::string_view value = pair.substr(eq + 1);
-    const bool var_ewma_key = key == "variance-window" || key == "headroom" ||
-                              key == "cap" || key == "burst";
+    const bool var_ewma_key =
+        key == "variance-window" || key == "headroom" || key == "cap";
     if (var_ewma_key && kind != "var-ewma")
       reject(spec, "key '" + std::string(key) + "' applies only to var-ewma");
     if (key == "window")
@@ -353,8 +316,6 @@ EstimatorSpec parse_estimator_spec(std::string_view spec,
       parsed.options.support_floor = parse_number(spec, key, value);
     else if (key == "scale")
       parsed.options.scale_to_total = parse_number(spec, key, value);
-    else if (key == "burst")
-      parsed.options.burst_sigmas = parse_number(spec, key, value);
     else
       reject(spec, "unknown key '" + std::string(key) + "'");
   }

@@ -83,18 +83,6 @@ struct EstimatorOptions {
   /// var-ewma only: cap on the inflation as a fraction of the class
   /// estimate (0.2 = at most 1.2x the class's provisioned volume).
   double headroom_cap = 0.2;
-
-  /// var-ewma only: burst-onset trigger.  An UP innovation larger than
-  /// burst_sigmas·σ̂ snaps the class level to the observation instead of
-  /// smoothing into it — a jump that big marks a regime shift (flash
-  /// crowd, sustained episode onset), and lagging through it at alpha
-  /// costs several windows of under-provisioning.  Down moves always
-  /// smooth (over-provisioning briefly is the safe direction).  Off by
-  /// default: under heavy-tailed window noise even a 4-sigma threshold
-  /// false-triggers often enough to cost more in churn and re-tilts than
-  /// it saves — enable it for deployments whose dominant risk is flash
-  /// crowds against otherwise calm rows.
-  double burst_sigmas = 0.0;
 };
 
 /// Throws std::invalid_argument with a typed message when any field is
@@ -129,32 +117,6 @@ class Estimator {
   /// The registered spec kind this estimator was built as ("ewma", ...).
   virtual std::string_view kind() const = 0;
   virtual const EstimatorOptions& options() const = 0;
-
-  // --- Gossip partial hooks (estimator-agnostic; DESIGN.md §13) ---------
-  //
-  // The replicated control plane merges per-origin counter slices into a
-  // digest before feeding the estimator.  These hooks keep dist::Replica
-  // independent of the estimator kind: the merge is plain saturating-free
-  // uint64 addition on the *inputs*, so any deterministic estimator fed
-  // the converged digest converges across replicas automatically.
-
-  /// Starts a fresh merge window (merged sums reset to zero).
-  void begin_partials();
-  /// Accumulates one origin's disjoint counter slice (sizes must match
-  /// num_classes(); throws std::invalid_argument otherwise).
-  void merge_partial(std::span<const std::uint64_t> sessions,
-                     std::span<const std::uint64_t> bytes);
-  /// Feeds the merged digest to observe().  The merged sums stay readable
-  /// until the next begin_partials().
-  void commit_partials();
-  const std::vector<std::uint64_t>& merged_sessions() const {
-    return merged_sessions_;
-  }
-  const std::vector<std::uint64_t>& merged_bytes() const { return merged_bytes_; }
-
- private:
-  std::vector<std::uint64_t> merged_sessions_;
-  std::vector<std::uint64_t> merged_bytes_;
 };
 
 /// Grammar accepted by make_estimator() / parse_estimator_spec().
@@ -171,7 +133,7 @@ struct EstimatorSpec {
 
 /// Parses `kind[:key=value[,key=value]...]` on top of `defaults`.
 /// Keys for every kind: window, floor, scale; var-ewma also takes
-/// variance-window, headroom, cap, burst.  Throws std::invalid_argument
+/// variance-window, headroom, cap.  Throws std::invalid_argument
 /// citing estimator_spec_grammar() on an unknown kind, a key the kind does
 /// not take, a malformed pair, or an out-of-domain value.
 EstimatorSpec parse_estimator_spec(std::string_view spec,

@@ -1,8 +1,9 @@
 // Hitless versioned config rollout (DESIGN.md §10).
 //
-// The rollout engine is the only component that pushes configuration into
-// a live data plane (the nwlb-lint raw-shim-install rule bans everyone
-// else from calling Shim::install directly).  Per control interval it:
+// The rollout engine carries the control loop's bundles into a live data
+// plane.  A Shim is compiled once from its config and never changes, so a
+// bundle reaches replay only as a new generation that ReplaySimulator
+// compiles from it.  Per control interval the engine:
 //
 //   1. diffs the controller's fresh ConfigBundle against the last one it
 //      installed and computes the churn report — the fraction of the hash

@@ -1,8 +1,7 @@
 #include "shim/bundle.h"
 
 #include <algorithm>
-#include <set>
-#include <utility>
+#include <vector>
 
 namespace nwlb::shim {
 
@@ -47,24 +46,27 @@ ChurnReport churn_between(const ConfigBundle& previous, const ConfigBundle& next
   for (std::size_t j = 0; j < pops; ++j) {
     const ShimConfig& before = j < previous.configs.size() ? previous.configs[j] : kEmpty;
     const ShimConfig& after = j < next.configs.size() ? next.configs[j] : kEmpty;
-    // Union of (class, direction) keys present on either side; a key
-    // missing from one side compares against the implicit all-ignore table.
-    std::set<std::pair<int, nids::Direction>> keys;
-    const auto gather = [&keys](const ShimConfig& config) {
-      config.for_each_table([&keys](int class_id, nids::Direction direction,
-                                    const RangeTable&) {
-        keys.insert({class_id, direction});
-      });
-    };
-    gather(before);
-    gather(after);
+    // Every (class, direction) key present on either side: before's tables
+    // against after's, then the keys only after has; a key missing from one
+    // side compares against the implicit all-ignore table.  Each fraction
+    // is a whole number of 2^-32 units and no sum nears 2^53 of them, so
+    // the sums are exact and the report does not depend on walk order.
     double pop_total = 0.0;
-    for (const auto& [class_id, direction] : keys) {
-      pop_total += moved_fraction(before.table(class_id, direction),
-                                  after.table(class_id, direction));
-      ++report.tables_compared;
-    }
-    const double pop_mean = keys.empty() ? 0.0 : pop_total / static_cast<double>(keys.size());
+    int pop_tables = 0;
+    before.for_each_table([&](int class_id, nids::Direction direction,
+                              const RangeTable& table) {
+      pop_total += moved_fraction(&table, after.table(class_id, direction));
+      ++pop_tables;
+    });
+    after.for_each_table([&](int class_id, nids::Direction direction,
+                             const RangeTable& table) {
+      if (before.table(class_id, direction) != nullptr) return;
+      pop_total += moved_fraction(nullptr, &table);
+      ++pop_tables;
+    });
+    report.tables_compared += pop_tables;
+    const double pop_mean =
+        pop_tables == 0 ? 0.0 : pop_total / static_cast<double>(pop_tables);
     report.pop_moved[j] = pop_mean;
     if (pop_mean > 0.0) ++report.pops_changed;
     total_moved += pop_total;

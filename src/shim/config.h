@@ -99,8 +99,8 @@ class ShimConfig {
   }
 
   /// Structural equality: same (class, direction) keys mapping to equal
-  /// range tables.  Backs the install fast path (Shim::install skips the
-  /// flat-table recompile on an identical config) and rollout diffing.
+  /// range tables.  Backs rollout diffing (RolloutEngine skips a bundle
+  /// whose configs all equal the installed ones).
   friend bool operator==(const ShimConfig& a, const ShimConfig& b) {
     return a.tables_ == b.tables_;
   }

@@ -17,9 +17,9 @@
 //     search branch-light and cache-resident.
 //
 // This mirrors how traffic-splitting rules are compiled to flat TCAM-style
-// tables in hardware load balancers: build cost is paid once at install
-// time, the per-packet path is a bounds check, one bucket load, and a
-// short binary search over a few contiguous words.
+// tables in hardware load balancers: build cost is paid once when a Shim
+// is constructed, the per-packet path is a bounds check, one bucket load,
+// and a short binary search over a few contiguous words.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +35,6 @@ namespace nwlb::shim {
 /// any number of threads.
 class FlatConfig {
  public:
-  FlatConfig() = default;
-
   /// Compiles `config`; the result is independent of the ShimConfig's
   /// (unspecified) internal iteration order.
   explicit FlatConfig(const ShimConfig& config);

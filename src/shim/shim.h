@@ -7,10 +7,11 @@
 // responsible).  The implementation mirrors the paper's 255-line Click
 // element; tunnels are modeled as byte counters the simulator drains.
 //
-// Data-plane fast path: install() compiles the ShimConfig into a flat
-// lookup structure (see flat_table.h), and both decide calls are const and
-// count into a caller-owned ShimStats, so one shim serves any number of
-// worker threads concurrently.
+// Data-plane fast path: the constructor compiles the ShimConfig into a flat
+// lookup structure (see flat_table.h) that never changes afterwards; a new
+// configuration is a new Shim.  Both decide calls are const and count into
+// a caller-owned ShimStats, so one shim serves any number of worker threads
+// concurrently.
 #pragma once
 
 #include <cstdint>
@@ -31,34 +32,11 @@ struct Decision {
 
 class Shim {
  public:
-  explicit Shim(int node_id) : node_id_(node_id) {}
+  /// Compiles `config` into the flat decide tables.  An empty config
+  /// decides ignore for every packet.
+  Shim(int node_id, const ShimConfig& config) : node_id_(node_id), flat_(config) {}
 
   int node_id() const { return node_id_; }
-
-  /// Installs a config, compiling the flat fast-path tables.  When the
-  /// incoming config is structurally identical to the installed one, only
-  /// the generation tag is adopted — the flat tables are not recompiled
-  /// (the rollout engine re-pushes unchanged configs every control
-  /// interval; recompiling them would be pure waste).
-  void install(ShimConfig config, std::uint64_t generation = 0) {
-    if (installed_ && config == config_) {
-      generation_ = generation;
-      return;
-    }
-    config_ = std::move(config);
-    flat_ = FlatConfig(config_);
-    generation_ = generation;
-    installed_ = true;
-    ++compiles_;
-  }
-  const ShimConfig& config() const { return config_; }
-  const FlatConfig& flat() const { return flat_; }
-
-  /// Generation tag of the installed config (0 until the first install).
-  std::uint64_t generation() const { return generation_; }
-  /// Flat-table compilations performed (regression guard: an identical
-  /// re-install must not bump this).
-  int compiles() const { return compiles_; }
 
   /// Session-granularity decision (signature-style analyses).  The hash is
   /// over the canonical tuple, so both directions of a session map to the
@@ -77,11 +55,7 @@ class Shim {
 
  private:
   int node_id_;
-  ShimConfig config_;
   FlatConfig flat_;
-  std::uint64_t generation_ = 0;
-  bool installed_ = false;
-  int compiles_ = 0;
 };
 
 }  // namespace nwlb::shim

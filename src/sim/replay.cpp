@@ -53,6 +53,15 @@ void add_counts(ReplayStats& total, const ReplayStats& part) {
   total.stateful_missed += part.stateful_missed;
 }
 
+/// Compiles one generation's shims, one per PoP, from its bundle.
+std::vector<shim::Shim> compile_shims(const shim::ConfigBundle& bundle) {
+  std::vector<shim::Shim> shims;
+  shims.reserve(bundle.configs.size());
+  for (std::size_t j = 0; j < bundle.configs.size(); ++j)
+    shims.emplace_back(static_cast<int>(j), bundle.configs[j]);
+  return shims;
+}
+
 }  // namespace
 
 /// All mutable replay state for one shard of the session list.  A shard is
@@ -178,17 +187,7 @@ ReplaySimulator::ReplaySimulator(const core::ProblemInput& input,
   pop_stats_.resize(static_cast<std::size_t>(input.num_pops()));
 
   // Bootstrap generation: owns every session until the first rollout.
-  Generation boot;
-  boot.generation = bundle.generation;
-  boot.first_session = 0;
-  boot.shims.reserve(bundle.configs.size());
-  for (int j = 0; j < input.num_pops(); ++j) {
-    boot.shims.emplace_back(j);
-    // nwlb-lint: allow(raw-shim-install)
-    boot.shims.back().install(bundle.configs[static_cast<std::size_t>(j)],
-                              bundle.generation);
-  }
-  generations_.push_back(std::move(boot));
+  generations_.push_back({bundle.generation, 0, compile_shims(bundle)});
 
   // Cold path: constructor-time setup, runs once per simulator.
   // nwlb-analyze: allow(hot-path-purity)
@@ -233,18 +232,7 @@ void ReplaySimulator::install_bundle(const shim::ConfigBundle& bundle,
     generations_.pop_back();
   }
 
-  // New generation's shims start as copies of the newest installed ones, so
-  // an unchanged per-PoP config skips the flat-table recompile (the
-  // equality check in Shim::install) — a rollout that moves 3% of the hash
-  // space recompiles only the PoPs it touches.
-  Generation next;
-  next.generation = bundle.generation;
-  next.first_session = activate_at;
-  next.shims = generations_.back().shims;
-  for (std::size_t j = 0; j < bundle.configs.size(); ++j)
-    // nwlb-lint: allow(raw-shim-install)
-    next.shims[j].install(bundle.configs[j], bundle.generation);
-  generations_.push_back(std::move(next));
+  generations_.push_back({bundle.generation, activate_at, compile_shims(bundle)});
   ++rollout_.rollouts_installed;
   retire_drained_generations();
 }

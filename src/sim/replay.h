@@ -43,14 +43,16 @@
 // call and serial/parallel equivalence holds under any schedule.
 //
 // Hitless rollout (DESIGN.md §10): configuration is installed as a
-// generation-tagged shim::ConfigBundle.  install_bundle() stages the new
-// generation make-before-break — the old and new generations' shims
-// coexist, and every session carries a sticky generation tag (a pure
-// function of its global index and the staged activation point), so
-// exactly one generation decides it: a mid-replay swap never drops or
-// double-processes a session, and the sharded replay stays byte-identical
-// to serial.  A superseded generation is retired once the session cursor
-// passes its successor's activation index (the drain is complete).
+// generation-tagged shim::ConfigBundle.  The constructor and
+// install_bundle() alike compile every PoP's shim from the bundle, and
+// install_bundle() stages the new generation make-before-break — the old
+// and new generations' shims coexist, and every session carries a sticky
+// generation tag (a pure function of its global index and the staged
+// activation point), so exactly one generation decides it: a mid-replay
+// swap never drops or double-processes a session, and the sharded replay
+// stays byte-identical to serial.  A superseded generation is retired once
+// the session cursor passes its successor's activation index (the drain is
+// complete).
 #pragma once
 
 #include <cstdint>
@@ -283,7 +285,7 @@ class ReplaySimulator {
   struct Generation {
     std::uint64_t generation = 0;
     std::uint64_t first_session = 0;
-    std::vector<shim::Shim> shims;  // One per PoP; read-only during replay.
+    std::vector<shim::Shim> shims;  // Compiled from its bundle, one per PoP.
   };
 
   struct DirectionPlan;

@@ -143,13 +143,6 @@ TEST(AnalyzeRules, HotPathMapAndThrowOnlyApplyToMarkedFiles) {
   EXPECT_EQ(run_rule("no-throw-hot-path", corpus).findings.size(), 1u);
 }
 
-TEST(AnalyzeRules, RawShimInstallFlagsBothAccessSpellings) {
-  Corpus corpus;
-  corpus.add("src/core/bad.cpp", "shim.install(cfg, 3);\npshim->install(cfg, 3);\n");
-  corpus.add("src/core/good.cpp", "sim.install_bundle(bundle);\n");
-  EXPECT_EQ(run_rule("raw-shim-install", corpus).findings.size(), 2u);
-}
-
 // ---- include graph ----
 
 TEST(AnalyzeRules, IncludeLayeringFlagsUpwardAndPeerEdges) {
@@ -327,11 +320,10 @@ TEST(AnalyzeFramework, DefaultRuleSetIsComplete) {
   std::vector<std::string> names;
   for (const RuleInfo& rule : empty.rules) names.push_back(rule.name);
   const std::vector<std::string> expected = {
-      "pragma-once",      "no-rand",           "naked-new",
-      "using-namespace",  "reinterpret-cast",  "hot-path-map",
-      "no-throw-hot-path", "raw-shim-install", "include-layering",
-      "include-cycle",    "atomic-order",      "hot-path-purity",
-      "hot-path-generators"};
+      "pragma-once",       "no-rand",          "naked-new",
+      "using-namespace",   "reinterpret-cast", "hot-path-map",
+      "no-throw-hot-path", "include-layering", "include-cycle",
+      "atomic-order",      "hot-path-purity",  "hot-path-generators"};
   EXPECT_EQ(names, expected);
 }
 

@@ -312,18 +312,28 @@ TEST(ReplicatedLoop, SustainedMirrorBlackholeReachesTheEpoch) {
 }
 
 TEST(ReplicatedLoop, SingleReplicaDegeneratesToOneController) {
+  // A lone replica is its own majority: it wins one election and renews
+  // its lease on every heartbeat, so it never lapses and re-elects itself
+  // (nine intervals span three default leases).
   DistFixture f;
   sim::ReplaySimulator sim = f.make_simulator(nullptr);
   ReplicatedControlLoop loop(f.topology, f.tm, DistFixture::controller_options(),
                              sim, f.initial.bundle,
                              f.loop_options(nullptr, /*replicas=*/1));
   sim::TraceGenerator gen = DistFixture::make_generator(f.input);
-  const ReplicatedIntervalReport report =
-      loop.run_interval(gen.generate(800), gen);
-  EXPECT_EQ(report.leader, 0);
-  EXPECT_EQ(report.replicas_heard, 1);
-  EXPECT_TRUE(report.epoch_run);
-  EXPECT_GT(report.generation, f.initial.bundle.generation);
+  std::uint64_t generation = f.initial.bundle.generation;
+  for (int w = 0; w < 9; ++w) {
+    SCOPED_TRACE("interval " + std::to_string(w));
+    const ReplicatedIntervalReport report =
+        loop.run_interval(gen.generate(300), gen);
+    EXPECT_EQ(report.leader, 0);
+    EXPECT_EQ(report.term, 1u);
+    EXPECT_EQ(report.elections_total, 1u);
+    EXPECT_EQ(report.replicas_heard, 1);
+    EXPECT_TRUE(report.epoch_run);
+    EXPECT_GT(report.generation, generation);
+    generation = report.generation;
+  }
 }
 
 TEST(ReplicatedLoop, ExportsDistMetrics) {

@@ -1,9 +1,8 @@
 // The pluggable Estimator API (DESIGN.md §15): the spec factory is the
 // only construction path, so these tests drive every registered kind
 // through make_estimator() — EWMA convergence and warm-up correction,
-// var-ewma's quantized burst headroom and optional burst-onset snap, the
-// class-support floor, scale anchoring, the gossip partial hooks, and the
-// estimator-error metric.
+// var-ewma's quantized burst headroom, the class-support floor, scale
+// anchoring, and the estimator-error metric.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -77,13 +76,12 @@ TEST(EstimatorFactory, SpecOverridesApplyOnTopOfDefaults) {
   defaults.window = 9;
   defaults.scale_to_total = 123.0;
   const EstimatorSpec parsed = parse_estimator_spec(
-      "var-ewma:headroom=0.5,cap=0.1,burst=3,variance-window=12", defaults);
+      "var-ewma:headroom=0.5,cap=0.1,variance-window=12", defaults);
   EXPECT_EQ(parsed.kind, "var-ewma");
   EXPECT_EQ(parsed.options.window, 9);               // Default survives.
   EXPECT_DOUBLE_EQ(parsed.options.scale_to_total, 123.0);
   EXPECT_DOUBLE_EQ(parsed.options.headroom_sigmas, 0.5);
   EXPECT_DOUBLE_EQ(parsed.options.headroom_cap, 0.1);
-  EXPECT_DOUBLE_EQ(parsed.options.burst_sigmas, 3.0);
   EXPECT_EQ(parsed.options.variance_window, 12);
 }
 
@@ -109,15 +107,14 @@ TEST(EstimatorFactory, RejectionsCiteTheGrammar) {
   expect_reject("ewma:window=abc");          // Not a number.
   expect_reject("ewma:window=2.5");          // Integer key, fractional value.
   expect_reject("ewma:window=0");            // Out of domain.
-  expect_reject("var-ewma:burst=-1");        // Out of domain.
   expect_reject("var-ewma:headroom=-0.1");   // Out of domain.
   expect_reject("ewma:floor=1.5");           // Out of domain.
   // var-ewma's keys change nothing under ewma, so ewma rejects them.
   expect_reject("ewma:headroom=2");
   expect_reject("ewma:cap=0.5");
-  expect_reject("ewma:burst=3");
   expect_reject("ewma:variance-window=12");
   expect_reject("var-ewma:trend-window=12");  // Unknown key.
+  expect_reject("var-ewma:burst=3");          // Unknown key.
 }
 
 TEST(EstimatorFactory, ValidatesOptionDomains) {
@@ -130,9 +127,6 @@ TEST(EstimatorFactory, ValidatesOptionDomains) {
   EstimatorOptions bad_variance;
   bad_variance.variance_window = 0;
   EXPECT_THROW(validate_estimator_options(bad_variance), std::invalid_argument);
-  EstimatorOptions bad_burst;
-  bad_burst.burst_sigmas = -0.5;
-  EXPECT_THROW(validate_estimator_options(bad_burst), std::invalid_argument);
 
   EstimatorFixture f;
   EXPECT_THROW(make_estimator("ewma", f.scenario.classes(), 0),
@@ -262,7 +256,7 @@ TEST(Estimator, BytesPerSessionTracksTheFeed) {
               0.01 * cls.bytes_per_session);
 }
 
-// ---- var-ewma: quantized burst headroom + optional snap -------------------
+// ---- var-ewma: quantized burst headroom -----------------------------------
 
 TEST(VarEwma, SteadyFeedMatchesPlainEwmaExactly) {
   EstimatorFixture f;
@@ -330,70 +324,6 @@ TEST(VarEwma, VolatileClassGetsQuantizedCappedHeadroom) {
   EXPECT_NEAR(est_ve.volume(steady_cls.ingress, steady_cls.egress),
               est_ew.volume(steady_cls.ingress, steady_cls.egress),
               1e-9 * est_ew.volume(steady_cls.ingress, steady_cls.egress));
-}
-
-TEST(VarEwma, BurstTriggerSnapsUpButSmoothsDown) {
-  EstimatorFixture f;
-  EstimatorOptions opts;
-  opts.window = 4;  // alpha = 0.4 once warmed up.
-  opts.burst_sigmas = 2.0;
-  const std::unique_ptr<Estimator> snap = f.make("var-ewma", opts);
-  EstimatorOptions no_burst = opts;
-  no_burst.burst_sigmas = 0.0;  // The default: trigger disabled.
-  const std::unique_ptr<Estimator> plain = f.make("var-ewma", no_burst);
-
-  const auto calm = f.window_sessions(1e-3);
-  const auto calm_bytes = f.window_bytes(1e-3);
-  for (int i = 0; i < 4; ++i) {
-    snap->observe(calm, calm_bytes);
-    plain->observe(calm, calm_bytes);
-  }
-  // Flash onset: 10x.  Sigma-hat is ~0 after a constant feed, so the
-  // jump clears any positive threshold -> the level snaps to the
-  // observation instead of lagging through the crowd at alpha.
-  const auto flash = f.window_sessions(10e-3);
-  const auto flash_bytes = f.window_bytes(10e-3);
-  snap->observe(flash, flash_bytes);
-  plain->observe(flash, flash_bytes);
-  EXPECT_DOUBLE_EQ(snap->class_rate(0), static_cast<double>(flash[0]));
-  EXPECT_LT(plain->class_rate(0), static_cast<double>(flash[0]));
-
-  // The way *down* always smooths — briefly over-provisioning after a
-  // burst ends is the safe direction, so no symmetric down-snap.
-  snap->observe(calm, calm_bytes);
-  EXPECT_GT(snap->class_rate(0), static_cast<double>(calm[0]));
-}
-
-// ---- Gossip partial hooks --------------------------------------------------
-
-TEST(Estimator, MergedPartialsEqualDirectObservation) {
-  EstimatorFixture f;
-  for (std::string_view kind : estimator_kinds()) {
-    const std::unique_ptr<Estimator> merged = f.make(kind);
-    const std::unique_ptr<Estimator> direct = f.make(kind);
-    // Three origins each contribute a disjoint slice of the window.
-    const auto third = f.window_sessions(1e-3);
-    const auto third_bytes = f.window_bytes(1e-3);
-    std::vector<std::uint64_t> sum(third.size(), 0);
-    std::vector<std::uint64_t> sum_bytes(third.size(), 0);
-    merged->begin_partials();
-    for (int origin = 0; origin < 3; ++origin) {
-      merged->merge_partial(third, third_bytes);
-      for (std::size_t c = 0; c < third.size(); ++c) {
-        sum[c] += third[c];
-        sum_bytes[c] += third_bytes[c];
-      }
-    }
-    merged->commit_partials();
-    direct->observe(sum, sum_bytes);
-    for (std::size_t c = 0; c < sum.size(); ++c)
-      EXPECT_DOUBLE_EQ(merged->class_rate(c), direct->class_rate(c))
-          << kind << " class " << c;
-    EXPECT_EQ(merged->merged_sessions(), sum) << kind;
-
-    const std::vector<std::uint64_t> wrong(third.size() + 1, 1);
-    EXPECT_THROW(merged->merge_partial(wrong, wrong), std::invalid_argument);
-  }
 }
 
 // ---- estimation_error ------------------------------------------------------

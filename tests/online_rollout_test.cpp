@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/mapper.h"
 #include "core/replication_lp.h"
@@ -142,6 +144,77 @@ TEST(RolloutEngine, InstallsChangedBundleMakeBeforeBreak) {
   sim.replay(generator.generate(120), generator);
   EXPECT_EQ(sim.active_generation(), 2u);
   EXPECT_EQ(sim.num_generations(), 1u);  // Old generation fully drained.
+}
+
+TEST(RolloutEngine, EveryPopDecidesAsTheInstalledBundle) {
+  // Four applies in turn: a change at PoP 0 alone, the ingress plan (a
+  // change at every PoP), the replicate plan back, and that plan once more,
+  // which the engine skips.  After each, every PoP's active shim decides as
+  // the engine's current bundle on both sides of every range edge either
+  // plan has, for every class and direction.
+  RolloutFixture f;
+  sim::ReplaySimulator sim = f.make_sim();
+  RolloutEngine engine(f.replicate_bundle);
+  const std::size_t pops = f.replicate_bundle.configs.size();
+
+  shim::ConfigBundle pop0_dark = f.replicate_bundle;
+  pop0_dark.generation = 2;
+  pop0_dark.configs[0] = shim::ShimConfig{};
+  shim::ConfigBundle ingress = f.ingress_bundle;
+  ingress.generation = 3;
+  shim::ConfigBundle replicate = f.replicate_bundle;
+  replicate.generation = 4;
+  shim::ConfigBundle again = f.replicate_bundle;
+  again.generation = 5;
+  struct Step {
+    const shim::ConfigBundle* bundle;
+    bool installed;
+    int pops_changed;
+  };
+  const Step steps[] = {{&pop0_dark, true, 1},
+                        {&ingress, true, static_cast<int>(pops)},
+                        {&replicate, true, static_cast<int>(pops)},
+                        {&again, false, 0}};
+
+  const auto probes = [&](std::size_t pop, int class_id, nids::Direction dir) {
+    std::vector<std::uint32_t> hashes;
+    for (const shim::ConfigBundle* plan : {&f.replicate_bundle, &f.ingress_bundle}) {
+      const shim::RangeTable* table = plan->configs[pop].table(class_id, dir);
+      if (table == nullptr) continue;
+      for (const shim::HashRange& range : table->ranges())
+        for (const std::uint64_t edge : {range.begin, range.end}) {
+          if (edge > 0) hashes.push_back(static_cast<std::uint32_t>(edge - 1));
+          if (edge < shim::kHashSpace) hashes.push_back(static_cast<std::uint32_t>(edge));
+        }
+    }
+    return hashes;
+  };
+
+  std::uint64_t active = f.replicate_bundle.generation;
+  for (const Step& step : steps) {
+    SCOPED_TRACE("generation " + std::to_string(step.bundle->generation));
+    const RolloutReport report = engine.apply(sim, *step.bundle);
+    EXPECT_EQ(report.installed, step.installed);
+    EXPECT_EQ(report.churn.pops_changed, step.pops_changed);
+    if (report.installed) active = step.bundle->generation;
+    EXPECT_EQ(sim.active_generation(), active);
+
+    const shim::ConfigBundle& current = engine.current();
+    ASSERT_EQ(current.configs.size(), pops);
+    shim::ShimStats stats;
+    std::size_t probed = 0;
+    const auto classes = static_cast<int>(f.replicate_input.classes.size());
+    for (std::size_t j = 0; j < pops; ++j)
+      for (int c = 0; c < classes; ++c)
+        for (const nids::Direction dir : {nids::Direction::kForward, nids::Direction::kReverse})
+          for (const std::uint32_t hash : probes(j, c, dir)) {
+            ASSERT_EQ(sim.shim(static_cast<int>(j)).decide_hashed_repeat(c, dir, hash, 1, stats),
+                      current.configs[j].lookup(c, dir, hash))
+                << "PoP " << j << " class " << c << " hash " << hash;
+            ++probed;
+          }
+    EXPECT_GT(probed, pops);
+  }
 }
 
 }  // namespace

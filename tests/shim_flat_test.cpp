@@ -74,13 +74,6 @@ std::vector<std::uint32_t> boundary_probes(const ShimConfig& config) {
   return probes;
 }
 
-/// A shim at `node_id` with `config` installed.
-Shim installed_shim(int node_id, const ShimConfig& config) {
-  Shim shim(node_id);
-  shim.install(config);  // nwlb-lint: allow(raw-shim-install)
-  return shim;
-}
-
 TEST(FlatConfig, MatchesReferenceLookupOnRandomInputs) {
   nwlb::util::Rng rng(0xf1a7);
   int checked = 0;
@@ -161,7 +154,7 @@ TEST(Shim, HashedBatchMatchesScalarDecideAndCountsPackets) {
   table.add(HashRange{0, kHashSpace / 2, Action::process()});
   table.add(HashRange{kHashSpace / 2, kHashSpace, Action::replicate(3)});
   config.set_table(0, table);
-  const Shim shim = installed_shim(1, config);
+  const Shim shim(1, config);
 
   nwlb::util::Rng rng(5);
   std::uint64_t packets = 0;
@@ -197,19 +190,19 @@ TEST(Shim, HashedBatchMatchesScalarDecideAndCountsPackets) {
 
 // The ShimSimd cases once held the batch decide kernels to the scalar
 // lookup.  The kernels are gone; these cases hold the one decide path left
-// — Shim::decide_hashed_repeat over the installed FlatConfig — to the same
-// oracles: the reference ShimConfig lookup and scalar decide().
+// — Shim::decide_hashed_repeat over the shim's compiled FlatConfig — to
+// the same oracles: the reference ShimConfig lookup and scalar decide().
 
 TEST(ShimSimd, AllBackendsMatchScalarOracleOnRandomConfigs) {
-  // Through Shim::install, on random configs: every boundary probe plus
-  // random fill, for every class id (installed or not) and both
+  // Through a Shim compiled from random configs: every boundary probe plus
+  // random fill, for every class id (configured or not) and both
   // directions.
   nwlb::util::Rng rng(0x51d3);
   std::uint64_t probes_checked = 0;
   ShimStats stats;
   for (int trial = 0; trial < 12; ++trial) {
     const ShimConfig config = random_config(rng);
-    const Shim shim = installed_shim(0, config);
+    const Shim shim(0, config);
     std::vector<std::uint32_t> hashes = boundary_probes(config);
     for (int i = 0; i < 1024; ++i) hashes.push_back(static_cast<std::uint32_t>(rng()));
     for (int class_id = -1; class_id < 42; ++class_id)
@@ -233,7 +226,7 @@ TEST(ShimSimd, EqualHashRunsMatchScalar) {
   // verdict and accounts exactly like deciding each packet of it alone.
   nwlb::util::Rng rng(0x9a110);
   const ShimConfig config = random_config(rng);
-  const Shim shim = installed_shim(0, config);
+  const Shim shim(0, config);
   for (int class_id = 0; class_id < 8; ++class_id) {
     ShimStats per_run;
     ShimStats per_packet;
@@ -261,15 +254,15 @@ TEST(ShimSimd, EqualHashRunsMatchScalar) {
 }
 
 TEST(ShimSimd, UninstalledSlotsResolveToIgnoreOnEveryBackend) {
-  // A shim with nothing installed, and every slot an installed config
+  // A shim compiled from an empty config, and every slot a config
   // leaves empty (an absent direction, absent classes, negative and huge
   // class ids), decide ignore by hash and by tuple, and count as ignore.
   ShimConfig config;
   RangeTable table;
   table.add(HashRange{0, kHashSpace, Action::process()});
   config.set_table(3, nids::Direction::kForward, table);
-  const Shim installed = installed_shim(0, config);
-  const Shim uninstalled(1);
+  const Shim installed(0, config);
+  const Shim uninstalled(1, ShimConfig{});
 
   struct Slot {
     const Shim* shim;
@@ -314,7 +307,7 @@ TEST(ShimSimd, DecideHashedRepeatMatchesBatch) {
   // and move all four counters exactly as `count` decide() calls would.
   nwlb::util::Rng rng(0x2e9ea7);
   const ShimConfig config = random_config(rng);
-  const Shim shim = installed_shim(0, config);
+  const Shim shim(0, config);
   for (int trial = 0; trial < 400; ++trial) {
     const int class_id = static_cast<int>(rng.range(-1, 42));
     const auto dir =

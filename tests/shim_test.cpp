@@ -104,8 +104,7 @@ TEST(Shim, DecisionsAreBidirectionallyPinned) {
   table.add(HashRange{0, kHashSpace / 2, Action::process()});
   table.add(HashRange{kHashSpace / 2, kHashSpace, Action::replicate(9)});
   config.set_table(0, table);  // Both directions.
-  Shim shim(1);
-  shim.install(config);  // nwlb-lint: allow(raw-shim-install)
+  const Shim shim(1, config);
   ShimStats stats;
   nwlb::util::Rng rng(2);
   for (int i = 0; i < 500; ++i) {
@@ -118,37 +117,6 @@ TEST(Shim, DecisionsAreBidirectionallyPinned) {
     EXPECT_EQ(fwd.hash, rev.hash);
   }
   EXPECT_EQ(stats.packets_seen, 1000u);
-}
-
-TEST(Shim, InstallSkipsRecompileForIdenticalConfig) {
-  // Regression: the rollout engine re-pushes configs every control
-  // interval; an unchanged config must only adopt the generation tag, not
-  // rebuild the flat tables.
-  ShimConfig config;
-  RangeTable table;
-  table.add(HashRange{0, kHashSpace / 2, Action::process()});
-  table.add(HashRange{kHashSpace / 2, kHashSpace, Action::replicate(9)});
-  config.set_table(0, table);
-  Shim shim(1);
-  shim.install(config, 1);  // nwlb-lint: allow(raw-shim-install)
-  EXPECT_EQ(shim.compiles(), 1);
-  EXPECT_EQ(shim.generation(), 1u);
-
-  shim.install(config, 2);  // nwlb-lint: allow(raw-shim-install)
-  EXPECT_EQ(shim.compiles(), 1) << "identical config must not recompile";
-  EXPECT_EQ(shim.generation(), 2u) << "but the generation tag advances";
-  // The skip must not break decisions.
-  EXPECT_EQ(shim.config().lookup(0, nids::Direction::kForward, 1).kind,
-            Action::Kind::kProcess);
-
-  // A structurally different config does recompile.
-  RangeTable moved;
-  moved.add(HashRange{0, kHashSpace / 4, Action::process()});
-  moved.add(HashRange{kHashSpace / 4, kHashSpace, Action::replicate(9)});
-  config.set_table(0, moved);
-  shim.install(config, 3);  // nwlb-lint: allow(raw-shim-install)
-  EXPECT_EQ(shim.compiles(), 2);
-  EXPECT_EQ(shim.generation(), 3u);
 }
 
 TEST(ShimStats, ReplicationAccounting) {
@@ -201,8 +169,7 @@ TEST(Shim, DecisionVerdictCountersTrackLookups) {
   table.add(HashRange{0, kHashSpace / 2, Action::process()});
   table.add(HashRange{kHashSpace / 2, kHashSpace, Action::replicate(9)});
   config.set_table(0, table);
-  Shim shim(1);
-  shim.install(config);  // nwlb-lint: allow(raw-shim-install)
+  const Shim shim(1, config);
   nwlb::util::Rng rng(7);
   ShimStats stats;
   for (int i = 0; i < 200; ++i) {

@@ -168,8 +168,9 @@ class Analyzer {
   std::vector<Slot> slots_;
 };
 
-/// The built-in rule set: the eight ported nwlb_lint rules plus
-/// include-layering, include-cycle, atomic-order, and hot-path-purity.
+/// The built-in rule set: the seven ported nwlb_lint rules plus
+/// include-layering, include-cycle, atomic-order, hot-path-purity, and
+/// hot-path-generators.
 std::vector<std::unique_ptr<Rule>> default_rules();
 
 // ---- report renderers (report.cpp) ----

@@ -136,28 +136,6 @@ class NoThrowHotPathRule : public Rule {
   }
 };
 
-class RawShimInstallRule : public Rule {
- public:
-  std::string_view name() const override { return "raw-shim-install"; }
-  std::string_view description() const override {
-    return "direct Shim::install is reserved for the rollout machinery; "
-           "everyone else pushes generation-tagged shim::ConfigBundles";
-  }
-  void check_file(const SourceFile& file, Sink& sink) const override {
-    for (std::size_t i = 0; i < file.code.size(); ++i) {
-      const std::string& line = file.code[i];
-      if (line.find(".install(") != std::string::npos ||
-          line.find("->install(") != std::string::npos)
-        sink.report(file, i, name(),
-                    "direct Shim::install outside the rollout engine; push "
-                    "configs as a generation-tagged shim::ConfigBundle "
-                    "(ReplaySimulator::install_bundle / online::RolloutEngine), "
-                    "or annotate a shim-level unit test with "
-                    "`// nwlb-analyze: allow(raw-shim-install)`");
-    }
-  }
-};
-
 }  // namespace
 
 namespace detail {
@@ -170,7 +148,6 @@ void append_token_rules(std::vector<std::unique_ptr<Rule>>& rules) {
   rules.push_back(std::make_unique<ReinterpretCastRule>());
   rules.push_back(std::make_unique<HotPathMapRule>());
   rules.push_back(std::make_unique<NoThrowHotPathRule>());
-  rules.push_back(std::make_unique<RawShimInstallRule>());
 }
 
 }  // namespace detail

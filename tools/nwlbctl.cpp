@@ -294,7 +294,7 @@ Online control loop:
   --estimator <spec>      Estimator kind[:key=value,...]     (default ewma)
                           Kinds: ewma | var-ewma.  Keys for both: window,
                           floor, scale; var-ewma only: variance-window,
-                          headroom, cap, burst.
+                          headroom, cap.
                           e.g. --estimator=var-ewma:headroom=2,cap=0.5
   --window <n>            Estimator smoothing window, intervals (default 4)
   --drain <n>             Rollout drain window, in sessions     (default 0)
