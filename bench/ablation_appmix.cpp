@@ -43,10 +43,10 @@ int main() {
     table.row()
         .cell(topology.name)
         .cell(agg.load_cost, 3)
-        .cell(agg_lp.num_process_vars() + agg_lp.num_offload_vars())
+        .cell(agg_lp.num_share_columns())
         .cell(agg.lp.solve_seconds, 2)
         .cell(app.load_cost, 3)
-        .cell(app_lp.num_process_vars() + app_lp.num_offload_vars())
+        .cell(app_lp.num_share_columns())
         .cell(app.lp.solve_seconds, 2);
   }
   bench::print_table(table);

@@ -133,7 +133,7 @@ int main() {
         .cell(total_iterations(repl_result))
         .cell(agg_result.lp.solve_seconds, 3)
         .cell(total_iterations(agg_result))
-        .cell(repl.num_process_vars() + repl.num_offload_vars());
+        .cell(repl.num_share_columns());
 
     // Perturbed re-solve: same structure, slightly relaxed link budget.
     core::ScenarioConfig perturbed;
@@ -207,7 +207,7 @@ int main() {
       scaling_table.row()
           .cell(pops)
           .cell(static_cast<int>(drifted_input.classes.size()))
-          .cell(drifted_lp.num_process_vars() + drifted_lp.num_offload_vars())
+          .cell(drifted_lp.num_share_columns())
           .cell(cold.lp.solve_seconds, 3)
           .cell(total_iterations(cold))
           .cell(warm.lp.solve_seconds, 3)

@@ -8,9 +8,7 @@
 // traffic is negligible next to data traffic (§6).
 #pragma once
 
-#include "core/assignment.h"
-#include "core/problem.h"
-#include "lp/model.h"
+#include "core/formulation.h"
 #include "lp/revised_simplex.h"
 
 namespace nwlb::core {
@@ -22,15 +20,20 @@ struct AggregationOptions {
   /// source-level split costs 8 bytes per row (shim/aggregation.h).
   double record_bytes = 8.0;
 
-  /// Aggregation point: the class ingress by default (the host's gateway
-  /// is best placed to alert, §6); a fixed node when >= 0.
+  /// Aggregation point: the class ingress when -1 (the host's gateway is
+  /// best placed to alert, §6); otherwise a fixed PoP.
   topo::NodeId fixed_aggregation_point = -1;
 };
 
 class AggregationLp {
  public:
+  /// Throws std::invalid_argument on a negative beta, a non-positive
+  /// record_bytes or a fixed_aggregation_point that is neither -1 nor a PoP.
   AggregationLp(const ProblemInput& input, AggregationOptions options = {});
 
+  /// Throws std::runtime_error unless the solver returns kOptimal.  Every
+  /// class needs full coverage and there is no coverage slack, so a class
+  /// whose every on-path node is down makes the LP infeasible.
   Assignment solve(const lp::Options& lp_options = {},
                    const lp::Basis* warm = nullptr) const;
 
@@ -42,18 +45,10 @@ class AggregationLp {
  private:
   void build();
 
-  struct PVar {
-    int class_index;
-    int node;
-    lp::VarId var;
-  };
-
   const ProblemInput* input_;
   AggregationOptions options_;
   lp::Model model_;
-  lp::VarId load_cost_var_;
-  std::vector<PVar> p_vars_;
-  double comm_normalizer_ = 1.0;
+  std::vector<Column> columns_;
 };
 
 }  // namespace nwlb::core

@@ -13,9 +13,7 @@
 // optimizing the two analyses independently.
 #pragma once
 
-#include "core/assignment.h"
-#include "core/problem.h"
-#include "lp/model.h"
+#include "core/formulation.h"
 #include "lp/revised_simplex.h"
 
 namespace nwlb::core {
@@ -28,8 +26,9 @@ struct JointOptions {
 };
 
 struct JointResult {
+  // Each analysis's decisions; both carry the joint solve as `lp`.
   Assignment signature;  // p/o decisions of the session-level analysis.
-  Assignment scan;       // p decisions of the aggregatable analysis.
+  Assignment scan;       // q decisions of the aggregatable analysis.
   std::vector<std::array<double, nids::kNumResources>> combined_load;
   double load_cost = 0.0;  // max over nodes/resources of the combined load.
   double comm_cost = 0.0;  // Byte-hops of scan reports.
@@ -40,6 +39,10 @@ class JointLp {
  public:
   JointLp(const ProblemInput& input, JointOptions options = {});
 
+  /// Throws std::runtime_error unless the solver returns kOptimal.  Both
+  /// analyses need full coverage and there is no coverage slack, so a
+  /// class whose every column the failure mask pins to zero makes the LP
+  /// infeasible.
   JointResult solve(const lp::Options& lp_options = {},
                     const lp::Basis* warm = nullptr) const;
 
@@ -48,21 +51,11 @@ class JointLp {
  private:
   void build();
 
-  struct Var {
-    int class_index;
-    int node;         // Processing node (or offload source for o-vars).
-    int target = -1;  // Offload target (o-vars only).
-    lp::VarId var;
-  };
-
   const ProblemInput* input_;
   JointOptions options_;
   lp::Model model_;
-  lp::VarId load_cost_var_;
-  std::vector<Var> sig_p_;
-  std::vector<Var> sig_o_;
-  std::vector<Var> scan_p_;
-  double comm_normalizer_ = 1.0;
+  std::vector<Column> signature_;  // p and o columns.
+  std::vector<Column> scan_;       // q columns, on-path only.
 };
 
 }  // namespace nwlb::core

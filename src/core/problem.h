@@ -52,10 +52,12 @@ struct ProblemInput {
   double dc_access_capacity = 0.0;
 
   /// Failure mask over processing nodes (empty = everything up).  A down
-  /// node takes no processing or offload assignment: the formulations pin
-  /// its decision variables to zero rather than removing them, so the
-  /// model shape — and therefore warm-start basis compatibility — is
-  /// identical across failure transitions.
+  /// node takes no processing or offload assignment: every formulation
+  /// pins each column whose node or source PoP is down to zero rather
+  /// than removing it, so the model shape — and therefore warm-start
+  /// basis compatibility — is identical across failure transitions.  Only
+  /// the replication LP has coverage slack; the aggregation and joint LPs
+  /// turn infeasible when a class keeps no surviving column.
   std::vector<char> node_down;
 
   bool is_down(int id) const {

@@ -10,9 +10,7 @@
 // increasing objective penalty (Fortz–Thorup style).
 #pragma once
 
-#include "core/assignment.h"
-#include "core/problem.h"
-#include "lp/model.h"
+#include "core/formulation.h"
 #include "lp/revised_simplex.h"
 
 namespace nwlb::core {
@@ -25,7 +23,9 @@ enum class LinkCostModel {
 struct ReplicationOptions {
   LinkCostModel link_cost = LinkCostModel::kHardCap;
   // Piecewise mode: utilization above MaxLinkLoad costs `penalty_low` per
-  // unit up to `knee`, and `penalty_high` per unit beyond.
+  // unit up to `knee`, and `penalty_high` per unit beyond.  The constructor
+  // rejects non-finite values and anything but 0 <= penalty_low <=
+  // penalty_high: the slabs must stay convex to model the cost.
   double knee = 0.8;
   double penalty_low = 0.05;
   double penalty_high = 0.5;
@@ -34,7 +34,8 @@ struct ReplicationOptions {
 class ReplicationLp {
  public:
   /// Builds the LP; `input` must outlive this object and already be
-  /// validated consistent (validate() is called here).
+  /// validated consistent (validate() is called here).  Throws
+  /// std::invalid_argument on malformed piecewise options.
   explicit ReplicationLp(const ProblemInput& input, ReplicationOptions options = {});
 
   /// Solves and decodes the assignment.  Throws std::runtime_error unless
@@ -55,30 +56,16 @@ class ReplicationLp {
                         const lp::Basis* warm = nullptr) const;
 
   const lp::Model& model() const { return model_; }
-  int num_process_vars() const { return static_cast<int>(p_vars_.size()); }
-  int num_offload_vars() const { return static_cast<int>(o_vars_.size()); }
+  /// Process (p) and offload (o) columns together.
+  int num_share_columns() const { return static_cast<int>(columns_.size()); }
 
  private:
   void build();
 
-  struct PVar {
-    int class_index;
-    int node;
-    lp::VarId var;
-  };
-  struct OVar {
-    int class_index;
-    int from;
-    int to;
-    lp::VarId var;
-  };
-
   const ProblemInput* input_;
   ReplicationOptions options_;
   lp::Model model_;
-  lp::VarId load_cost_var_;
-  std::vector<PVar> p_vars_;
-  std::vector<OVar> o_vars_;
+  std::vector<Column> columns_;
 };
 
 }  // namespace nwlb::core

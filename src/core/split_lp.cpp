@@ -18,28 +18,26 @@ SplitTrafficLp::SplitTrafficLp(const ProblemInput& input, SplitOptions options)
 
 void SplitTrafficLp::build() {
   const ProblemInput& in = *input_;
-  const auto& routing = *in.routing;
   const double total = traffic::total_sessions(in.classes);
 
-  load_cost_var_ = model_.add_variable(0.0, lp::kInf, 1.0, "LoadCost");
+  const lp::VarId load_cost = model_.add_variable(0.0, lp::kInf, 1.0, "LoadCost");
   lp::VarId worst_miss{};
   if (options_.max_class_miss)
     worst_miss = model_.add_variable(0.0, 1.0, options_.gamma, "WorstMiss");
-
-  // Per-link accumulation for the MaxLinkLoad rows.
-  std::vector<std::vector<std::pair<lp::VarId, double>>> link_terms(
-      static_cast<std::size_t>(routing.graph().num_directed_links()));
+  SharedRows rows(in, model_);
 
   for (std::size_t c = 0; c < in.classes.size(); ++c) {
     const auto& cls = in.classes[c];
     const auto common = cls.common_nodes();
+    const int k = static_cast<int>(c);
 
-    // cov_c with its share of the MissRate objective.
-    const double weight =
-        options_.max_class_miss ? 0.0 : options_.gamma * cls.sessions / total;
+    // cov_c with its share of the MissRate objective (none when no class
+    // carries traffic, as refresh_metrics reads a zero miss rate then).
+    const double weight = (options_.max_class_miss || total <= 0.0)
+                              ? 0.0
+                              : options_.gamma * cls.sessions / total;
     const lp::VarId cov =
         model_.add_variable(0.0, 1.0, -weight, "cov_c" + std::to_string(c));
-    cov_vars_.push_back(cov);
 
     // cov_fwd / cov_rev as bounded expression variables.
     const lp::VarId cov_fwd = model_.add_variable(0.0, 1.0, 0.0);
@@ -58,29 +56,25 @@ void SplitTrafficLp::build() {
       eligible = common;
     }
     for (topo::NodeId j : eligible) {
-      const lp::VarId p = model_.add_variable(0.0, 1.0, 0.0);
-      model_.add_coefficient(def_fwd, p, 1.0);
-      model_.add_coefficient(def_rev, p, 1.0);
-      p_vars_.push_back(PVar{static_cast<int>(c), j, p});
+      const Column p = rows.add({.class_index = k, .node = j});
+      model_.add_coefficient(def_fwd, p.var, 1.0);
+      model_.add_coefficient(def_rev, p.var, 1.0);
+      columns_.push_back(p);
     }
 
     if (options_.mode == SplitMode::kWithDatacenter) {
-      const topo::NodeId attach = in.datacenter.attach_pop;
-      auto add_offloads = [&](const std::vector<topo::NodeId>& nodes,
-                              nids::Direction dir, lp::RowId def_row) {
+      // Per-direction offloads from every node on that direction's path.
+      const auto add_offloads = [&](const std::vector<topo::NodeId>& nodes, Carries carries,
+                                    lp::RowId def_row) {
         for (topo::NodeId j : nodes) {
-          const lp::VarId o = model_.add_variable(0.0, 1.0, 0.0);
-          model_.add_coefficient(def_row, o, 1.0);
-          o_vars_.push_back(OVar{static_cast<int>(c), j, dir, o});
-          if (j != attach) {
-            const double bytes = 0.5 * cls.sessions * cls.bytes_per_session;
-            for (topo::LinkId l : routing.links_on_path(j, attach))
-              link_terms[static_cast<std::size_t>(l)].emplace_back(o, bytes);
-          }
+          const Column o = rows.add(
+              {.class_index = k, .node = in.datacenter_id(), .from = j, .carries = carries});
+          model_.add_coefficient(def_row, o.var, 1.0);
+          columns_.push_back(o);
         }
       };
-      add_offloads(cls.fwd_nodes(), nids::Direction::kForward, def_fwd);
-      add_offloads(cls.rev_nodes(), nids::Direction::kReverse, def_rev);
+      add_offloads(cls.fwd_nodes(), Carries::kForward, def_fwd);
+      add_offloads(cls.rev_nodes(), Carries::kReverse, def_rev);
     }
 
     // cov <= cov_fwd, cov <= cov_rev.
@@ -98,83 +92,11 @@ void SplitTrafficLp::build() {
       model_.add_coefficient(wm, cov, 1.0);
     }
   }
-
-  // Load rows.
-  for (int node = 0; node < in.num_processing_nodes(); ++node) {
-    for (int r = 0; r < nids::kNumResources; ++r) {
-      const auto res = static_cast<nids::Resource>(r);
-      if (in.footprint.on(res) <= 0.0) continue;
-      const double cap = in.capacities.of(node, res);
-      const lp::RowId row = model_.add_row(lp::Sense::kLessEqual, 0.0);
-      bool any = false;
-      for (const PVar& pv : p_vars_) {
-        if (pv.node != node) continue;
-        const auto& cls = in.classes[static_cast<std::size_t>(pv.class_index)];
-        model_.add_coefficient(row, pv.var,
-                               in.footprint_of(pv.class_index, res) * cls.sessions / cap);
-        any = true;
-      }
-      if (in.has_datacenter() && node == in.datacenter_id()) {
-        for (const OVar& ov : o_vars_) {
-          const auto& cls = in.classes[static_cast<std::size_t>(ov.class_index)];
-          model_.add_coefficient(
-              row, ov.var,
-              0.5 * in.footprint_of(ov.class_index, res) * cls.sessions / cap);
-          any = true;
-        }
-      }
-      if (any) model_.add_coefficient(row, load_cost_var_, -1.0);
-    }
-  }
-
-  // DC access link: every per-direction offload crosses the cluster uplink.
-  if (in.has_datacenter() && in.dc_access_capacity > 0.0 && !o_vars_.empty()) {
-    const lp::RowId row =
-        model_.add_row(lp::Sense::kLessEqual, in.max_link_load, "dc_access");
-    for (const OVar& ov : o_vars_) {
-      const auto& cls = in.classes[static_cast<std::size_t>(ov.class_index)];
-      model_.add_coefficient(
-          row, ov.var,
-          0.5 * cls.sessions * cls.bytes_per_session / in.dc_access_capacity);
-    }
-  }
-
-  // Link rows.
-  for (std::size_t l = 0; l < link_terms.size(); ++l) {
-    if (link_terms[l].empty()) continue;
-    const double cap = in.link_capacity[l];
-    const double bg_util = in.background_bytes[l] / cap;
-    const double budget = std::max(in.max_link_load, bg_util) - bg_util;
-    const lp::RowId row = model_.add_row(lp::Sense::kLessEqual, budget);
-    for (const auto& [var, bytes] : link_terms[l])
-      model_.add_coefficient(row, var, bytes / cap);
-  }
+  rows.finish(load_cost);
 }
 
 Assignment SplitTrafficLp::solve(const lp::Options& lp_options, const lp::Basis* warm) const {
-  const lp::Solution solution = lp::solve_revised(model_, lp_options, warm);
-  if (!solution.optimal())
-    throw std::runtime_error("SplitTrafficLp::solve: solver returned " +
-                             lp::to_string(solution.status));
-  const ProblemInput& in = *input_;
-  Assignment a;
-  a.process.assign(in.classes.size(), {});
-  a.offloads.assign(in.classes.size(), {});
-  constexpr double kEps = 1e-9;
-  for (const PVar& pv : p_vars_) {
-    const double v = solution.value(pv.var);
-    if (v > kEps)
-      a.process[static_cast<std::size_t>(pv.class_index)].push_back(ProcessShare{pv.node, v});
-  }
-  for (const OVar& ov : o_vars_) {
-    const double v = solution.value(ov.var);
-    if (v > kEps)
-      a.offloads[static_cast<std::size_t>(ov.class_index)].push_back(
-          Offload{ov.from, in.datacenter_id(), v, ov.direction});
-  }
-  refresh_metrics(in, a);
-  a.lp = solution;
-  return a;
+  return decode(*input_, columns_, solve_or_throw(model_, "SplitTrafficLp", lp_options, warm));
 }
 
 }  // namespace nwlb::core

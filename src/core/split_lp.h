@@ -8,9 +8,7 @@
 // session-weighted MissRate with weight gamma (Eq. 11).
 #pragma once
 
-#include "core/assignment.h"
-#include "core/problem.h"
-#include "lp/model.h"
+#include "core/formulation.h"
 #include "lp/revised_simplex.h"
 
 namespace nwlb::core {
@@ -36,7 +34,8 @@ class SplitTrafficLp {
   /// `input.datacenter` must be set when mode == kWithDatacenter.
   SplitTrafficLp(const ProblemInput& input, SplitOptions options = {});
 
-  /// Solves and decodes; always feasible (coverage may simply fall short).
+  /// Solves and decodes; always feasible (coverage may simply fall short,
+  /// also when the failure mask leaves a class no vantage point).
   Assignment solve(const lp::Options& lp_options = {},
                    const lp::Basis* warm = nullptr) const;
 
@@ -45,25 +44,10 @@ class SplitTrafficLp {
  private:
   void build();
 
-  struct PVar {
-    int class_index;
-    int node;
-    lp::VarId var;
-  };
-  struct OVar {
-    int class_index;
-    int from;
-    nids::Direction direction;
-    lp::VarId var;
-  };
-
   const ProblemInput* input_;
   SplitOptions options_;
   lp::Model model_;
-  lp::VarId load_cost_var_;
-  std::vector<PVar> p_vars_;
-  std::vector<OVar> o_vars_;
-  std::vector<lp::VarId> cov_vars_;  // Per class.
+  std::vector<Column> columns_;
 };
 
 }  // namespace nwlb::core

@@ -127,6 +127,33 @@ TEST(AggregationLp, RejectsBadOptions) {
   AggregationOptions bad2;
   bad2.record_bytes = 0.0;
   EXPECT_THROW(AggregationLp(input, bad2), std::invalid_argument);
+  // The aggregation point is -1 (the class ingress) or a PoP: neither an
+  // unknown id nor the datacenter's.
+  const ProblemInput with_dc = f.scenario.problem(Architecture::kPathReplicate);
+  for (const topo::NodeId point : {-2, 99, with_dc.datacenter_id()}) {
+    AggregationOptions bad_point;
+    bad_point.fixed_aggregation_point = point;
+    EXPECT_THROW(AggregationLp(with_dc, bad_point), std::invalid_argument) << point;
+  }
+  AggregationOptions last_pop;
+  last_pop.fixed_aggregation_point = input.num_pops() - 1;
+  EXPECT_NO_THROW(AggregationLp(input, last_pop));
+}
+
+TEST(AggregationLp, DownNodeTakesNoShare) {
+  AggFixture f;
+  ProblemInput input = f.problem();
+  input.node_down.assign(static_cast<std::size_t>(input.num_processing_nodes()), 0);
+  input.node_down[6] = 1;
+  const Assignment a = AggregationLp(input).solve();
+  for (std::size_t c = 0; c < input.classes.size(); ++c) {
+    double total = 0.0;
+    for (const auto& share : a.process[c]) {
+      EXPECT_NE(share.node, 6) << "class " << c;
+      total += share.fraction;
+    }
+    EXPECT_NEAR(total, 1.0, 1e-6);  // Every path keeps a surviving PoP.
+  }
 }
 
 }  // namespace

@@ -1,4 +1,7 @@
 // Replication-formulation invariants (Fig. 7) on real topologies.
+#include <limits>
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "core/replication_lp.h"
@@ -144,6 +147,32 @@ TEST(ReplicationLp, PiecewiseLinkCostFeasibleAndBounded) {
   // Soft caps can only do at least as well on compute load.
   const Assignment hard = ReplicationLp(input).solve();
   EXPECT_LE(a.load_cost, hard.load_cost + 1e-6);
+}
+
+TEST(ReplicationLp, RejectsBadPiecewiseOptions) {
+  Fixture f;
+  const ProblemInput input = f.scenario.problem(Architecture::kPathReplicate);
+  const auto piecewise = [](auto edit) {
+    ReplicationOptions options;
+    options.link_cost = LinkCostModel::kPiecewise;
+    edit(options);
+    return options;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(ReplicationLp(input, piecewise([](auto& o) { o.penalty_high = -1.0; })),
+               std::invalid_argument);  // Below penalty_low: the slabs turn non-convex.
+  EXPECT_THROW(ReplicationLp(input, piecewise([](auto& o) { o.penalty_low = -0.01; })),
+               std::invalid_argument);
+  EXPECT_THROW(ReplicationLp(input, piecewise([&](auto& o) { o.penalty_high = inf; })),
+               std::invalid_argument);
+  EXPECT_THROW(ReplicationLp(input, piecewise([&](auto& o) { o.penalty_low = nan; })),
+               std::invalid_argument);
+  EXPECT_THROW(ReplicationLp(input, piecewise([&](auto& o) { o.knee = nan; })),
+               std::invalid_argument);
+  EXPECT_THROW(ReplicationLp(input, piecewise([&](auto& o) { o.knee = inf; })),
+               std::invalid_argument);
+  EXPECT_NO_THROW(ReplicationLp(input, piecewise([](auto& o) { o.penalty_high = o.penalty_low; })));
 }
 
 TEST(ReplicationLp, ZeroMaxLinkLoadAddsNoLinkTraffic) {

@@ -145,6 +145,37 @@ TEST(SplitTrafficLp, MaxClassMissExtension) {
   }
 }
 
+TEST(SplitTrafficLp, DownNodeTakesNoShare) {
+  SplitFixture f;
+  ProblemInput input = f.asymmetric_problem(0.5, 1);
+  input.node_down.assign(static_cast<std::size_t>(input.num_processing_nodes()), 0);
+  input.node_down[6] = 1;
+  for (const SplitMode mode :
+       {SplitMode::kIngressOnly, SplitMode::kOnPathOnly, SplitMode::kWithDatacenter}) {
+    SplitOptions opts;
+    opts.mode = mode;
+    const Assignment a = SplitTrafficLp(input, opts).solve();
+    for (std::size_t c = 0; c < input.classes.size(); ++c) {
+      for (const auto& share : a.process[c]) EXPECT_NE(share.node, 6) << "class " << c;
+      for (const auto& o : a.offloads[c]) EXPECT_NE(o.from, 6) << "class " << c;
+    }
+  }
+}
+
+TEST(SplitTrafficLp, ZeroTrafficSolvesToZeroLoad) {
+  SplitFixture f;
+  ProblemInput input = f.scenario.problem(Architecture::kPathReplicate);
+  for (auto& cls : input.classes) cls.sessions = 0.0;
+  for (const SplitMode mode :
+       {SplitMode::kIngressOnly, SplitMode::kOnPathOnly, SplitMode::kWithDatacenter}) {
+    SplitOptions opts;
+    opts.mode = mode;
+    const Assignment a = SplitTrafficLp(input, opts).solve();
+    EXPECT_EQ(a.load_cost, 0.0);
+    EXPECT_EQ(a.miss_rate, 0.0);
+  }
+}
+
 TEST(SplitTrafficLp, RejectsBadConfig) {
   SplitFixture f;
   const ProblemInput no_dc = f.scenario.problem(Architecture::kPathNoReplicate);

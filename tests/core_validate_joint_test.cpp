@@ -156,6 +156,22 @@ TEST(JointLp, BetaTradesCommForLoad) {
   EXPECT_GE(b.load_cost, a.load_cost - 1e-7);
 }
 
+TEST(JointLp, DownNodeTakesNoShare) {
+  JointFixture f;
+  ProblemInput input = f.scenario.problem(Architecture::kPathReplicate);
+  input.node_down.assign(static_cast<std::size_t>(input.num_processing_nodes()), 0);
+  input.node_down[6] = 1;
+  const JointResult result = JointLp(input).solve();
+  for (std::size_t c = 0; c < input.classes.size(); ++c) {
+    for (const auto& s : result.signature.process[c]) EXPECT_NE(s.node, 6) << "class " << c;
+    for (const auto& o : result.signature.offloads[c]) {
+      EXPECT_NE(o.from, 6) << "class " << c;
+      EXPECT_NE(o.to, 6) << "class " << c;
+    }
+    for (const auto& s : result.scan.process[c]) EXPECT_NE(s.node, 6) << "class " << c;
+  }
+}
+
 TEST(JointLp, RejectsBadOptions) {
   JointFixture f;
   const ProblemInput input = f.scenario.problem(Architecture::kPathReplicate);
