@@ -21,6 +21,7 @@
 // a gate invariant fails the process (exit 1) so CI catches it.
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -28,8 +29,8 @@
 
 #include "bench_common.h"
 #include "core/controller.h"
-#include "dist/replicated_loop.h"
 #include "obs/metrics.h"
+#include "online/loop.h"
 #include "sim/failure.h"
 #include "sim/replay.h"
 #include "sim/trace.h"
@@ -89,18 +90,20 @@ ScenarioResult run_scenario(const Deployment& dep, const std::string& name,
   trace_config.scanners = 0;
   sim::TraceGenerator generator(dep.input.classes, trace_config, 77);
 
-  dist::ReplicatedLoopOptions dopts;
-  dopts.replicas = replicas;
-  dopts.replica.estimator.scale_to_total = dep.tm.total();
+  std::deque<core::Controller> replica_controllers;
+  std::vector<core::Controller*> controllers;
+  for (int r = 0; r < replicas; ++r)
+    controllers.push_back(&replica_controllers.emplace_back(dep.topology, dep.tm, dep.copts));
+  online::ControlLoopOptions dopts;
+  dopts.estimator_options.scale_to_total = dep.tm.total();
   dopts.faults = faults;
-  dist::ReplicatedControlLoop loop(dep.topology, dep.tm, dep.copts, sim,
-                                   dep.bootstrap.bundle, dopts);
+  online::ControlLoop loop(controllers, sim, dep.bootstrap.bundle, dopts);
 
   ScenarioResult result;
   result.name = name;
   std::uint64_t generation_at_onset = 0;
   for (int w = 0; w < intervals; ++w) {
-    const dist::ReplicatedIntervalReport report =
+    const online::IntervalReport report =
         loop.run_interval(generator.generate(window_sessions), generator);
     if (w == fault_onset_interval - 1) generation_at_onset = report.generation;
     if (report.leader < 0) ++result.leaderless_intervals;

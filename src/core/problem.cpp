@@ -32,9 +32,10 @@ void ProblemInput::validate() const {
   for (const auto& c : classes) {
     if (c.fwd_path.empty() || c.rev_path.empty())
       throw std::invalid_argument("ProblemInput: class with empty path");
-    for (topo::NodeId node : c.fwd_path)
-      if (node < 0 || node >= num_graph_nodes)
-        throw std::invalid_argument("ProblemInput: class path leaves the graph");
+    for (const topo::Path* path : {&c.fwd_path, &c.rev_path})
+      for (topo::NodeId node : *path)
+        if (node < 0 || node >= num_graph_nodes)
+          throw std::invalid_argument("ProblemInput: class path leaves the graph");
     if (c.sessions < 0.0 || c.bytes_per_session <= 0.0)
       throw std::invalid_argument("ProblemInput: malformed class volume");
   }

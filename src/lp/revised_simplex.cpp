@@ -69,9 +69,11 @@ class Simplex {
 
   Solution solve(const Basis* warm) {
     const auto t0 = Clock::now();
-    if (opt_.max_seconds > 0.0)
-      deadline_ = t0 + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(opt_.max_seconds));
+    // A budget the clock cannot hold (past its int64 range, or +inf) sets
+    // no deadline rather than one that wraps into the past.
+    const std::chrono::duration<double> budget(opt_.max_seconds);
+    if (opt_.max_seconds > 0.0 && budget < Clock::time_point::max() - t0)
+      deadline_ = t0 + std::chrono::duration_cast<Clock::duration>(budget);
     Solution sol;
     bool warm_started = false;
     {

@@ -1,4 +1,4 @@
-#include "dist/bus.h"
+#include "online/bus.h"
 
 #include <stdexcept>
 #include <string>
@@ -6,18 +6,7 @@
 
 #include "util/check.h"
 
-namespace nwlb::dist {
-
-const char* to_string(MsgType type) {
-  switch (type) {
-    case MsgType::kEstimateShare: return "estimate_share";
-    case MsgType::kVoteRequest: return "vote_request";
-    case MsgType::kVote: return "vote";
-    case MsgType::kHeartbeat: return "heartbeat";
-    case MsgType::kHeartbeatAck: return "heartbeat_ack";
-  }
-  return "?";
-}
+namespace nwlb::online {
 
 namespace {
 
@@ -109,4 +98,4 @@ void MessageBus::flush() {
   }
 }
 
-}  // namespace nwlb::dist
+}  // namespace nwlb::online

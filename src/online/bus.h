@@ -20,7 +20,7 @@
 
 #include "util/rng.h"
 
-namespace nwlb::dist {
+namespace nwlb::online {
 
 enum class MsgType : unsigned char {
   kEstimateShare,  // Gossip: per-origin estimate partials for this tick.
@@ -29,8 +29,6 @@ enum class MsgType : unsigned char {
   kHeartbeat,      // Leader renews its lease, advertises the generation.
   kHeartbeatAck,   // Follower acks a heartbeat (lease-renewal quorum).
 };
-
-const char* to_string(MsgType type);
 
 /// One origin replica's slice of the interval's data-plane counters: the
 /// classes whose ingress PoPs that replica observes.  Slices are disjoint
@@ -78,7 +76,6 @@ class MessageBus {
 
   /// Partition bitmask: bit r set = replica r in group A.  0 = healthy.
   void set_partition(std::uint32_t mask) { partition_ = mask; }
-  std::uint32_t partition() const { return partition_; }
   bool reachable(int from, int to) const;
 
   void send(Message msg);
@@ -93,7 +90,6 @@ class MessageBus {
   /// Drops everything still in flight (see file comment).
   void flush();
 
-  int num_replicas() const { return num_replicas_; }
   const BusStats& stats() const { return stats_; }
 
  private:
@@ -110,4 +106,4 @@ class MessageBus {
   BusStats stats_;
 };
 
-}  // namespace nwlb::dist
+}  // namespace nwlb::online

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace nwlb::online {
@@ -36,10 +37,13 @@ double parse_number(std::string_view spec, std::string_view key,
 int parse_int(std::string_view spec, std::string_view key,
               std::string_view value) {
   const double parsed = parse_number(spec, key, value);
-  const int as_int = static_cast<int>(parsed);
-  if (static_cast<double>(as_int) != parsed)
+  // Range first: casting a NaN, an infinity or a value outside int is
+  // undefined behaviour.
+  if (!(parsed >= std::numeric_limits<int>::min() &&
+        parsed <= std::numeric_limits<int>::max()) ||
+      parsed != std::trunc(parsed))
     reject(spec, "value for key '" + std::string(key) + "' must be an integer");
-  return as_int;
+  return static_cast<int>(parsed);
 }
 
 // ---- Shared per-class smoothing machinery ---------------------------------

@@ -1,15 +1,13 @@
-#include "dist/install_gate.h"
-
-#include <utility>
+#include "online/install_gate.h"
 
 #include "util/check.h"
 
-namespace nwlb::dist {
+namespace nwlb::online {
 
-online::RolloutReport InstallGate::admit(sim::ReplaySimulator& sim, int leader,
-                                         std::uint64_t term, bool lease_valid,
-                                         std::uint64_t tick,
-                                         shim::ConfigBundle bundle) {
+RolloutReport InstallGate::admit(sim::ReplaySimulator& sim, int leader,
+                                 std::uint64_t term, bool lease_valid,
+                                 std::uint64_t tick,
+                                 const shim::ConfigBundle& bundle) {
   NWLB_CHECK(lease_valid, "InstallGate: replica ", leader,
              " tried to install at tick ", tick,
              " without a committed lease");
@@ -25,10 +23,10 @@ online::RolloutReport InstallGate::admit(sim::ReplaySimulator& sim, int leader,
                 "InstallGate: generation regression (replica ", leader,
                 " offered ", bundle.generation, " after ", last_generation(),
                 ")");
-  online::RolloutReport report = rollout_.apply(sim, std::move(bundle));
+  RolloutReport report = rollout_.apply(sim, bundle);
   last_term_ = term;
   last_leader_ = leader;
   return report;
 }
 
-}  // namespace nwlb::dist
+}  // namespace nwlb::online

@@ -1,10 +1,10 @@
-// The single fenced path from the replicated control plane to the data
-// plane (DESIGN.md §13).
+// The single fenced path from the control loop to the data plane
+// (DESIGN.md §13).
 //
 // Every ConfigBundle a leader emits must pass through InstallGate::admit,
 // which asserts the safety invariants the consensus layer is supposed to
-// guarantee before handing the bundle to online::RolloutEngine (the one
-// component allowed to touch the data plane's install machinery):
+// guarantee before handing the bundle to RolloutEngine (the one component
+// allowed to touch the data plane's install machinery):
 //
 //   * the caller holds a majority-committed lease covering the current tick;
 //   * terms never move backwards, and within one term only one replica
@@ -21,31 +21,29 @@
 
 #include "online/rollout.h"
 
-namespace nwlb::dist {
+namespace nwlb::online {
 
 class InstallGate {
  public:
-  InstallGate(shim::ConfigBundle initial, online::RolloutOptions options)
+  InstallGate(shim::ConfigBundle initial, RolloutOptions options)
       : rollout_(std::move(initial), options) {}
 
   /// Fenced install: asserts lease validity, term/leader fencing, and
   /// generation monotonicity, then applies via the rollout engine.
-  online::RolloutReport admit(sim::ReplaySimulator& sim, int leader,
-                              std::uint64_t term, bool lease_valid,
-                              std::uint64_t tick, shim::ConfigBundle bundle);
+  RolloutReport admit(sim::ReplaySimulator& sim, int leader, std::uint64_t term,
+                      bool lease_valid, std::uint64_t tick,
+                      const shim::ConfigBundle& bundle);
 
   /// The last admitted generation (the boot bundle's before any admit):
   /// the rollout engine adopts every applied bundle's tag, installed or
   /// skipped as identical.
   std::uint64_t last_generation() const { return rollout_.current().generation; }
-  std::uint64_t last_term() const { return last_term_; }
-  int last_leader() const { return last_leader_; }
-  const online::RolloutEngine& rollout() const { return rollout_; }
+  const RolloutEngine& rollout() const { return rollout_; }
 
  private:
-  online::RolloutEngine rollout_;
+  RolloutEngine rollout_;
   std::uint64_t last_term_ = 0;
   int last_leader_ = -1;
 };
 
-}  // namespace nwlb::dist
+}  // namespace nwlb::online

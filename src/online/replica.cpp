@@ -1,4 +1,4 @@
-#include "dist/replica.h"
+#include "online/replica.h"
 
 #include <algorithm>
 #include <stdexcept>
@@ -8,7 +8,7 @@
 #include "util/check.h"
 #include "util/rng.h"
 
-namespace nwlb::dist {
+namespace nwlb::online {
 
 namespace {
 
@@ -27,30 +27,15 @@ void ReplicaOptions::validate() const {
   if (lease_ticks < 1)
     throw std::invalid_argument("Replica: the lease must cover at least one tick, got " +
                                 std::to_string(lease_ticks));
-  (void)online::parse_estimator_spec(estimator_spec, estimator);
 }
 
-const char* to_string(Role role) {
-  switch (role) {
-    case Role::kFollower: return "follower";
-    case Role::kCandidate: return "candidate";
-    case Role::kLeader: return "leader";
-  }
-  return "?";
-}
-
-Replica::Replica(int id, int num_replicas, const topo::Topology& topology,
-                 const traffic::TrafficMatrix& initial_tm,
-                 const core::ControllerOptions& copts, ReplicaOptions options)
+Replica::Replica(int id, int num_replicas, std::unique_ptr<Estimator> estimator,
+                 ReplicaOptions options)
     : id_(id),
       num_replicas_(num_replicas),
       options_(validated(options)),
-      controller_(topology, initial_tm, copts),
-      estimator_(online::make_estimator(
-          options.estimator_spec, controller_.scenario().classes(),
-          controller_.scenario().routing().graph().num_nodes(),
-          options.estimator)),
-      num_classes_(controller_.scenario().classes().size()),
+      estimator_(std::move(estimator)),
+      num_classes_(estimator_->num_classes()),
       heard_(static_cast<std::size_t>(num_replicas)) {
   NWLB_CHECK(id >= 0 && id < num_replicas, "Replica: id ", id,
              " out of range for ", num_replicas, " replicas");
@@ -316,4 +301,4 @@ int Replica::candidacy_round(int total_rounds) const {
   return 1 + (id_ % std::max(1, total_rounds - 1));
 }
 
-}  // namespace nwlb::dist
+}  // namespace nwlb::online

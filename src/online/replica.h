@@ -1,9 +1,9 @@
 // One simulated controller replica (DESIGN.md §13).
 //
-// Each replica owns a full control plane — a core::Controller and an
-// online::Estimator (any registered kind, built from the configured spec)
-// — plus the consensus state that coordinates N of them into one logical
-// controller:
+// A replica holds the consensus state that coordinates N of them into one
+// logical controller, and an Estimator (any registered kind) fed by it.
+// The epochs it runs as leader go to a core::Controller the control loop
+// pairs it with; the replica itself owns none:
 //
 //   * Estimate gossip.  Every interval each replica observes the data
 //     plane's counters for the traffic classes whose ingress PoP it owns
@@ -36,18 +36,14 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
-#include "core/controller.h"
-#include "dist/bus.h"
+#include "online/bus.h"
 #include "online/estimator.h"
 
-namespace nwlb::dist {
+namespace nwlb::online {
 
 enum class Role : unsigned char { kFollower, kCandidate, kLeader };
-
-const char* to_string(Role role);
 
 struct ReplicaOptions {
   /// Committed-lease duration, in ticks (control intervals).  A leader
@@ -58,27 +54,20 @@ struct ReplicaOptions {
   /// Seed for the gossip peer-selection hash draws.
   std::uint64_t seed = 0xd157;
 
-  /// Estimator spec (`kind[:key=value,...]` — online::make_estimator()).
-  /// Every replica must be configured with the same spec: the digest
-  /// merge is estimator-agnostic, but converged *estimates* require the
-  /// replicas to fold identical digests through identical state machines.
-  std::string estimator_spec = "ewma";
-  /// Defaults the spec's overrides apply on top of.
-  online::EstimatorOptions estimator;
-
-  /// Throws std::invalid_argument on a lease of no tick or a spec that
-  /// parse_estimator_spec rejects.  Replica's constructor calls this.
+  /// Throws std::invalid_argument on a lease of no tick.  Replica's
+  /// constructor calls this.
   void validate() const;
 };
 
 class Replica {
  public:
-  /// `topology` must outlive the replica.  Every replica is constructed
-  /// from the same deployment constants (topology, provisioning matrix,
-  /// controller knobs), so any of them can step up and emit epochs.
-  Replica(int id, int num_replicas, const topo::Topology& topology,
-          const traffic::TrafficMatrix& initial_tm,
-          const core::ControllerOptions& copts, ReplicaOptions options);
+  /// `estimator` sets the class count every partial must have.  Every
+  /// replica of a cluster gets an estimator built from the same spec and
+  /// classes: the digest merge is estimator-agnostic, but converged
+  /// *estimates* require identical digests folded through identical state
+  /// machines.
+  Replica(int id, int num_replicas, std::unique_ptr<Estimator> estimator,
+          ReplicaOptions options);
 
   int id() const { return id_; }
   Role role() const { return role_; }
@@ -92,7 +81,6 @@ class Replica {
     return role_ == Role::kLeader && committed_lease_until_ > tick;
   }
   std::uint64_t lease_until() const { return lease_until_; }
-  std::uint64_t known_generation() const { return known_generation_; }
 
   // --- Interval lifecycle ------------------------------------------------
   /// Starts a control interval: seeds the gossip set with this replica's
@@ -117,8 +105,7 @@ class Replica {
   /// end_interval()).
   const std::vector<std::uint64_t>& digest_sessions() const { return digest_sessions_; }
   const std::vector<std::uint64_t>& digest_bytes() const { return digest_bytes_; }
-  const online::Estimator& estimator() const { return *estimator_; }
-  core::Controller& controller() { return controller_; }
+  const Estimator& estimator() const { return *estimator_; }
 
   /// Records a generation this replica emitted or learned of; advertised
   /// in heartbeats so followers track the install frontier.
@@ -141,8 +128,7 @@ class Replica {
   int id_;
   int num_replicas_;
   ReplicaOptions options_;
-  core::Controller controller_;
-  std::unique_ptr<online::Estimator> estimator_;
+  std::unique_ptr<Estimator> estimator_;
   std::size_t num_classes_;
 
   // Durable consensus state (survives on_restart).
@@ -169,4 +155,4 @@ class Replica {
   std::vector<std::uint64_t> digest_bytes_;
 };
 
-}  // namespace nwlb::dist
+}  // namespace nwlb::online

@@ -1,9 +1,27 @@
 #include "sim/failure.h"
 
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
 namespace nwlb::sim {
+
+namespace {
+
+/// `token` read as one whole number of type T: no sign on an unsigned T
+/// and nothing after the number.  Throws std::invalid_argument naming the
+/// line (`where`), the field (`what`) and the token otherwise.
+template <typename T>
+T whole_number(const std::string& token, const std::string& where, const char* what) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, value);
+  if (error != std::errc() || stop != end)
+    throw std::invalid_argument(where + "bad " + what + " '" + token + "'");
+  return value;
+}
+
+}  // namespace
 
 const char* to_string(FailureKind kind) {
   switch (kind) {
@@ -35,7 +53,7 @@ int FailureSchedule::add(FailureEvent event) {
         "FailureSchedule: partition mask must have at least one bit set");
   if (event.end <= event.begin)
     throw std::invalid_argument("FailureSchedule: event ends before it begins");
-  if (event.severity < 0.0 || event.severity > 1.0)
+  if (!(event.severity >= 0.0 && event.severity <= 1.0))
     throw std::invalid_argument("FailureSchedule: severity out of [0,1]");
   event.id = static_cast<int>(events_.size());
   events_.push_back(event);
@@ -145,6 +163,7 @@ FailureSchedule FailureSchedule::parse(const std::string& spec) {
     std::string kind_name;
     if (!(fields >> kind_name)) continue;  // Blank / comment-only line.
 
+    const std::string where = "FailureSchedule: line " + std::to_string(line_no) + ": ";
     FailureEvent event;
     if (kind_name == "crash") {
       event.kind = FailureKind::kNodeCrash;
@@ -157,32 +176,27 @@ FailureSchedule FailureSchedule::parse(const std::string& spec) {
     } else if (kind_name == "partition") {
       event.kind = FailureKind::kPartition;
     } else {
-      throw std::invalid_argument("FailureSchedule: line " + std::to_string(line_no) +
-                                  ": unknown event kind '" + kind_name + "'");
+      throw std::invalid_argument(where + "unknown event kind '" + kind_name + "'");
     }
-    std::string end_token;
-    if (!(fields >> event.target >> event.begin >> end_token))
-      throw std::invalid_argument("FailureSchedule: line " + std::to_string(line_no) +
-                                  ": expected '<kind> <target> <begin> <end|->'");
-    if (end_token == "-" || end_token == "inf") {
-      event.end = FailureEvent::kNever;
-    } else {
-      try {
-        event.end = std::stoull(end_token);
-      } catch (const std::exception&) {
-        throw std::invalid_argument("FailureSchedule: line " + std::to_string(line_no) +
-                                    ": bad end index '" + end_token + "'");
-      }
-    }
-    if (double severity = 1.0; fields >> severity) event.severity = severity;
+    std::string target_token, begin_token, end_token;
+    if (!(fields >> target_token >> begin_token >> end_token))
+      throw std::invalid_argument(where + "expected '<kind> <target> <begin> <end|->'");
+    event.target = whole_number<int>(target_token, where, "target");
+    event.begin = whole_number<std::uint64_t>(begin_token, where, "begin index");
+    event.end = end_token == "-" || end_token == "inf"
+                    ? FailureEvent::kNever
+                    : whole_number<std::uint64_t>(end_token, where, "end index");
+    if (std::string severity; fields >> severity)
+      event.severity = whole_number<double>(severity, where, "severity");
+    if (std::string extra; fields >> extra)
+      throw std::invalid_argument(where + "unexpected token '" + extra + "' after the severity");
 
     // Schedules read top to bottom as a timeline; an event that begins
     // before its predecessor, or repeats one verbatim, is almost always a
     // typo in the spec — reject loudly instead of silently reordering.
     if (!schedule.events_.empty() && event.begin < schedule.events_.back().begin)
       throw std::invalid_argument(
-          "FailureSchedule: line " + std::to_string(line_no) +
-          ": out-of-order event: begin " + std::to_string(event.begin) +
+          where + "out-of-order event: begin " + std::to_string(event.begin) +
           " precedes the previous event's begin " +
           std::to_string(schedule.events_.back().begin) +
           " (list events in non-decreasing begin order)");
@@ -190,15 +204,13 @@ FailureSchedule FailureSchedule::parse(const std::string& spec) {
       if (prior.kind == event.kind && prior.target == event.target &&
           prior.begin == event.begin && prior.end == event.end)
         throw std::invalid_argument(
-            "FailureSchedule: line " + std::to_string(line_no) +
-            ": duplicate event '" + kind_name + " " + std::to_string(event.target) +
+            where + "duplicate event '" + kind_name + " " + std::to_string(event.target) +
             " " + std::to_string(event.begin) + " ...' already scheduled");
 
     try {
       schedule.add(event);
     } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument("FailureSchedule: line " + std::to_string(line_no) +
-                                  ": " + e.what());
+      throw std::invalid_argument(where + e.what());
     }
   }
   return schedule;

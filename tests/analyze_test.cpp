@@ -74,8 +74,10 @@ TEST(AnalyzeSource, ModuleAndRankFollowTheLayeringDag) {
   EXPECT_LT(layer_rank("shim"), layer_rank("core"));
   EXPECT_LT(layer_rank("core"), layer_rank("sim"));
   EXPECT_LT(layer_rank("sim"), layer_rank("online"));
-  EXPECT_LT(layer_rank("online"), layer_rank("dist"));
-  EXPECT_LT(layer_rank("dist"), layer_rank("tests"));
+  EXPECT_LT(layer_rank("online"), layer_rank("tests"));
+  // No src/ module sits above online: a `dist` module would rank with the
+  // top, so online may not include it.
+  EXPECT_EQ(layer_rank("dist"), layer_rank("tests"));
 }
 
 TEST(AnalyzeSource, LineAllowsAcceptsBothSpellingsAndLists) {

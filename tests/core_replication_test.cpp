@@ -1,11 +1,13 @@
 // Replication-formulation invariants (Fig. 7) on real topologies.
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/replication_lp.h"
 #include "core/scenario.h"
+#include "core/split_lp.h"
 #include "topo/topology.h"
 #include "traffic/matrix.h"
 
@@ -251,6 +253,25 @@ TEST(ReplicationLp, ValidationCatchesBadInput) {
   ProblemInput input2 = f.scenario.problem(Architecture::kPathReplicate);
   input2.link_capacity.pop_back();
   EXPECT_THROW(ReplicationLp{input2}, std::invalid_argument);
+}
+
+TEST(ReplicationLp, ValidationCatchesReversePathOffTheGraph) {
+  // The reverse path is checked as the forward one is: a node outside the
+  // graph is a validation error naming the path, not an out_of_range
+  // thrown later from a formulation's link walk.
+  Fixture f;
+  ProblemInput input = f.scenario.problem(Architecture::kPathReplicate);
+  traffic::TrafficClass& cls = input.classes[0];
+  cls.rev_path = {cls.egress, 99, cls.ingress};
+  try {
+    input.validate();
+    ADD_FAILURE() << "a reverse path leaving the graph was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("class path leaves the graph"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(ReplicationLp{input}, std::invalid_argument);
+  EXPECT_THROW(SplitTrafficLp{input}, std::invalid_argument);
 }
 
 }  // namespace

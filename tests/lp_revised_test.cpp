@@ -2,6 +2,8 @@
 // behaviour.  Scale cross-validation lives in lp_property_test.cpp.
 #include "lp/revised_simplex.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
@@ -201,6 +203,23 @@ TEST(RevisedSimplex, TimeLimitReported) {
   opt.max_seconds = 1e-12;
   EXPECT_EQ(solve_revised(m, opt).status, Status::kTimeLimit);
   EXPECT_THROW(solve_revised(m, Options{.max_seconds = -1.0}), std::exception);
+}
+
+TEST(RevisedSimplex, BudgetPastTheClockRangeSetsNoDeadline) {
+  // steady_clock counts int64 nanoseconds: a budget past ~292 years (or
+  // +inf) cannot be a deadline, so it must mean "no deadline", not one
+  // that wraps into the past and stops the solve at once.
+  Model m;
+  const VarId x = m.add_variable(0, 2, -1);
+  const VarId y = m.add_variable(0, 3, -2);
+  const RowId r = m.add_row(Sense::kLessEqual, 4);
+  m.add_coefficient(r, x, 1);
+  m.add_coefficient(r, y, 1);
+  for (const double budget : {1e9, 1e12, std::numeric_limits<double>::infinity()}) {
+    const Solution s = solve_revised(m, Options{.max_seconds = budget});
+    ASSERT_EQ(s.status, Status::kOptimal) << "budget " << budget;
+    EXPECT_NEAR(s.objective, -7.0, 1e-7) << "budget " << budget;
+  }
 }
 
 TEST(RevisedSimplex, IterationLimitReported) {

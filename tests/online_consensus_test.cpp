@@ -8,18 +8,17 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/controller.h"
-#include "dist/bus.h"
-#include "dist/replica.h"
+#include "core/scenario.h"
+#include "online/bus.h"
 #include "online/estimator.h"
+#include "online/replica.h"
 #include "topo/topology.h"
 #include "traffic/matrix.h"
 
-namespace nwlb::dist {
+namespace nwlb::online {
 namespace {
 
 TEST(ConsensusBus, DeliversNextRoundInSendOrder) {
@@ -113,18 +112,22 @@ struct GossipFixture {
   topo::Topology topology = topo::make_internet2();
   traffic::TrafficMatrix tm = traffic::gravity_matrix(
       topology.graph, traffic::paper_total_sessions(11));
-  core::ControllerOptions copts;
+  core::Scenario scenario{topology, tm, {}};
   std::vector<std::unique_ptr<Replica>> replicas;
   std::size_t num_classes = 0;
   std::vector<std::uint64_t> oracle_sessions;
   std::vector<std::uint64_t> oracle_bytes;
 
-  explicit GossipFixture(int n, ReplicaOptions ropts = {}) {
-    copts.architecture = core::Architecture::kPathReplicate;
+  /// Every replica's estimator is built from `spec` on top of `defaults`.
+  explicit GossipFixture(int n, std::string_view spec = "ewma",
+                         const EstimatorOptions& defaults = {}) {
     for (int r = 0; r < n; ++r)
-      replicas.push_back(
-          std::make_unique<Replica>(r, n, topology, tm, copts, ropts));
-    num_classes = replicas.front()->controller().scenario().classes().size();
+      replicas.push_back(std::make_unique<Replica>(
+          r, n,
+          make_estimator(spec, scenario.classes(), topology.graph.num_nodes(),
+                         defaults),
+          ReplicaOptions{}));
+    num_classes = scenario.classes().size();
     oracle_sessions.assign(num_classes, 0);
     oracle_bytes.assign(num_classes, 0);
     for (std::size_t c = 0; c < num_classes; ++c) {
@@ -202,18 +205,16 @@ TEST(Consensus, DigestFedEstimatorMatchesCentralizedOracle) {
   // The gossip merge is estimator-agnostic: for *every* registered kind,
   // a replica's estimator fed the converged digest must match a single
   // centralized estimator fed the full counters bit for bit.
-  for (std::string_view kind : online::estimator_kinds()) {
+  for (std::string_view kind : estimator_kinds()) {
     const int n = 3;
-    ReplicaOptions ropts;
-    ropts.estimator_spec = std::string(kind);
-    ropts.estimator.scale_to_total = 50'000.0;
-    GossipFixture f(n, ropts);
+    EstimatorOptions defaults;
+    defaults.scale_to_total = 50'000.0;
+    GossipFixture f(n, kind, defaults);
     MessageBus bus(n);
 
     // Centralized oracle: one estimator fed the full window directly.
-    const std::unique_ptr<online::Estimator> central = online::make_estimator(
-        kind, f.replicas.front()->controller().scenario().classes(),
-        f.topology.graph.num_nodes(), ropts.estimator);
+    const std::unique_ptr<Estimator> central = make_estimator(
+        kind, f.scenario.classes(), f.topology.graph.num_nodes(), defaults);
 
     for (std::uint64_t tick = 0; tick < 3; ++tick) {
       f.run_interval(bus, tick, n + 4);
@@ -226,7 +227,7 @@ TEST(Consensus, DigestFedEstimatorMatchesCentralizedOracle) {
       EXPECT_EQ(replica.estimator().kind(), kind);
       const traffic::TrafficMatrix got = replica.estimator().estimate();
       EXPECT_NEAR(got.total(), want.total(), 1e-9 * want.total());
-      EXPECT_LT(online::estimation_error(got, want), 1e-12)
+      EXPECT_LT(estimation_error(got, want), 1e-12)
           << kind << " replica " << r
           << " diverged from the centralized estimate";
     }
@@ -267,4 +268,4 @@ TEST(Consensus, DuplicateAndStalePartialsAreIdempotent) {
 }
 
 }  // namespace
-}  // namespace nwlb::dist
+}  // namespace nwlb::online

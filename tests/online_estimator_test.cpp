@@ -127,6 +127,10 @@ TEST(EstimatorFactory, ValidatesOptionDomains) {
   EstimatorOptions bad_variance;
   bad_variance.variance_window = 0;
   EXPECT_THROW(validate_estimator_options(bad_variance), std::invalid_argument);
+  // An integer key outside int is rejected before any cast.
+  for (const char* spec : {"ewma:window=1e300", "ewma:window=nan", "ewma:window=inf",
+                           "ewma:window=2147483648"})
+    EXPECT_THROW(parse_estimator_spec(spec), std::invalid_argument) << spec;
 
   EstimatorFixture f;
   EXPECT_THROW(make_estimator("ewma", f.scenario.classes(), 0),

@@ -11,21 +11,23 @@
 #include <memory>
 #include <vector>
 
-#include "core/controller.h"
-#include "dist/bus.h"
-#include "dist/replica.h"
+#include "core/scenario.h"
+#include "online/bus.h"
+#include "online/estimator.h"
+#include "online/replica.h"
 #include "topo/topology.h"
 #include "traffic/matrix.h"
 
-namespace nwlb::dist {
+namespace nwlb::online {
 namespace {
 
-/// A bare cluster: replicas + bus stepped the way ReplicatedControlLoop
-/// steps them, minus the data plane (gossip slices are all-zero).
+/// A bare cluster: replicas + bus stepped the way ControlLoop steps them,
+/// minus the data plane (gossip slices are all-zero).
 struct Cluster {
   topo::Topology topology = topo::make_internet2();
   traffic::TrafficMatrix tm = traffic::gravity_matrix(
       topology.graph, traffic::paper_total_sessions(11));
+  core::Scenario scenario{topology, tm, {}};
   std::vector<std::unique_ptr<Replica>> replicas;
   MessageBus bus;
   std::vector<bool> alive;
@@ -34,12 +36,11 @@ struct Cluster {
 
   explicit Cluster(int n, ReplicaOptions ropts = {})
       : bus(n), alive(static_cast<std::size_t>(n), true), rounds(n + 4) {
-    core::ControllerOptions copts;
-    copts.architecture = core::Architecture::kPathReplicate;
     for (int r = 0; r < n; ++r)
-      replicas.push_back(
-          std::make_unique<Replica>(r, n, topology, tm, copts, ropts));
-    num_classes = replicas.front()->controller().scenario().classes().size();
+      replicas.push_back(std::make_unique<Replica>(
+          r, n, make_estimator("ewma", scenario.classes(), topology.graph.num_nodes()),
+          ropts));
+    num_classes = scenario.classes().size();
   }
 
   void crash(int r) { alive[static_cast<std::size_t>(r)] = false; }
@@ -200,4 +201,4 @@ TEST(Lease, SingleReplicaClusterIsItsOwnMajority) {
 }
 
 }  // namespace
-}  // namespace nwlb::dist
+}  // namespace nwlb::online

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -13,6 +14,7 @@
 #include "obs/metrics.h"
 #include "online/estimator.h"
 #include "online/loop.h"
+#include "online/rollout.h"
 #include "sim/failure.h"
 #include "sim/replay.h"
 #include "sim/trace.h"
@@ -127,6 +129,12 @@ TEST(ControlLoop, ExportsOnlineMetrics) {
   EXPECT_EQ(installed + skipped, 2u);
   EXPECT_GT(f.registry.gauge("nwlb_online_estimate_total_sessions").value(), 0.0);
   EXPECT_EQ(f.registry.gauge("nwlb_online_failures_reported").value(), 0.0);
+  // The one replica's consensus state is exported too: it leads every
+  // interval after one election.
+  EXPECT_EQ(f.registry.counter("nwlb_dist_intervals_total").value(), 2u);
+  EXPECT_EQ(f.registry.counter("nwlb_dist_elections_total").value(), 1u);
+  EXPECT_EQ(f.registry.gauge("nwlb_dist_leader").value(), 0.0);
+  EXPECT_EQ(f.registry.gauge("nwlb_dist_replicas_alive").value(), 1.0);
 }
 
 TEST(ControlLoop, ZeroTrafficWindowKeepsEstimateWellFormed) {
@@ -227,6 +235,71 @@ TEST(ControlLoop, SustainedMirrorBlackholeReachesTheEpoch) {
   EXPECT_EQ(simulator.down_mirrors(), std::vector<int>{dc});
   EXPECT_EQ(third.failures_reported, 1);
   EXPECT_EQ(third.epoch.assignment.datacenter_load(f.input), 0.0);
+}
+
+TEST(ControlLoop, OneReplicaMatchesTheHandMadePipeline) {
+  // The one-controller loop runs the whole replicated path (gossip digest,
+  // lease, fenced gate) with one replica.  Beside it runs the pipeline it
+  // stands for, written out by hand on a second bootstrap controller:
+  // estimate -> Controller::run -> RolloutEngine::apply.  Every interval
+  // must offer the same generation, install or skip alike, churn alike
+  // and carry the same configs, through a datacenter blackhole that
+  // reaches the epoch and then heals.
+  LoopFixture f;
+  constexpr int kPerInterval = 600;
+  const int dc = f.input.datacenter_id();
+  ASSERT_GT(f.bootstrap.assignment.datacenter_load(f.input), 0.0);
+  sim::FailureSchedule hole;
+  hole.add({.kind = sim::FailureKind::kMirrorBlackhole,
+            .target = dc,
+            .begin = 2 * kPerInterval,
+            .end = 5 * kPerInterval});
+  sim::ReplayOptions ropts;
+  ropts.failures = &hole;
+  ControlLoopOptions lopts;
+  lopts.estimator_options.scale_to_total = f.tm.total();
+  lopts.rollout.drain_sessions = 100;
+  sim::ReplaySimulator loop_sim(f.input, f.bootstrap.bundle, ropts);
+  ControlLoop loop(f.controller, loop_sim, f.bootstrap.bundle, lopts);
+
+  core::Controller controller(f.topology, f.tm, LoopFixture::controller_options());
+  const core::EpochResult bootstrap = controller.run({.tm = &f.tm});
+  ASSERT_EQ(bootstrap.bundle.configs, f.bootstrap.bundle.configs);
+  sim::ReplaySimulator hand_sim(f.input, bootstrap.bundle, ropts);
+  const std::unique_ptr<Estimator> estimator =
+      make_estimator(lopts.estimator, controller.scenario().classes(),
+                     controller.scenario().routing().graph().num_nodes(),
+                     lopts.estimator_options);
+  RolloutEngine rollout(bootstrap.bundle, lopts.rollout);
+
+  sim::TraceGenerator loop_gen = LoopFixture::make_generator(f.input);
+  sim::TraceGenerator hand_gen = LoopFixture::make_generator(f.input);
+  int intervals_with_failures = 0;
+  for (int w = 0; w < 10; ++w) {
+    SCOPED_TRACE("interval " + std::to_string(w));
+    const IntervalReport report =
+        loop.run_interval(loop_gen.generate(kPerInterval), loop_gen);
+
+    hand_sim.replay(hand_gen.generate(kPerInterval), hand_gen);
+    estimator->observe(hand_sim.window_class_sessions(), hand_sim.window_class_bytes());
+    const traffic::TrafficMatrix tm = estimator->estimate();
+    core::EpochRequest request;
+    request.tm = &tm;
+    request.failures.down_nodes = hand_sim.down_mirrors();
+    const core::EpochResult epoch = controller.run(request);
+    const RolloutReport hand = rollout.apply(hand_sim, epoch.bundle);
+
+    ASSERT_TRUE(report.install_attempted);
+    EXPECT_EQ(report.failures_reported,
+              static_cast<int>(request.failures.down_nodes.size()));
+    EXPECT_EQ(report.rollout.generation, hand.generation);
+    EXPECT_EQ(report.rollout.installed, hand.installed);
+    EXPECT_EQ(report.rollout.churn.moved_fraction, hand.churn.moved_fraction);
+    EXPECT_EQ(report.epoch.bundle.configs, epoch.bundle.configs);
+    if (report.failures_reported > 0) ++intervals_with_failures;
+  }
+  EXPECT_GT(intervals_with_failures, 0) << "the blackhole never reached an epoch";
+  EXPECT_LT(intervals_with_failures, 8) << "the datacenter never healed";
 }
 
 TEST(ControlLoopOptions, ValidateRejectsEveryBadField) {

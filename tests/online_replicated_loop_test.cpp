@@ -1,19 +1,18 @@
-// The replicated control loop end to end: N replicas drive the same data
-// plane one leader at a time.  The ISSUE's acceptance properties live
-// here — no generation regression and no double-install across crash and
-// partition schedules (including a leader crash in each third of the
-// install window), and with no faults the cluster converges to exactly
-// the single-controller behavior.
+// The control loop run by N > 1 replicas end to end: they drive the same
+// data plane one leader at a time.  No generation regression and no
+// double-install across crash and partition schedules (including a leader
+// crash in each third of the install window), and with no faults the
+// cluster converges to exactly the one-controller behavior.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/controller.h"
-#include "dist/replicated_loop.h"
 #include "obs/metrics.h"
 #include "online/loop.h"
 #include "sim/failure.h"
@@ -22,15 +21,16 @@
 #include "topo/topology.h"
 #include "traffic/matrix.h"
 
-namespace nwlb::dist {
+namespace nwlb::online {
 namespace {
 
-struct DistFixture {
+struct ReplicatedFixture {
   topo::Topology topology = topo::make_internet2();
   traffic::TrafficMatrix tm;
   core::Controller bootstrap;
   core::EpochResult initial;
   core::ProblemInput input;
+  std::deque<core::Controller> replica_controllers;
 
   static core::ControllerOptions controller_options() {
     core::ControllerOptions copts;
@@ -43,7 +43,7 @@ struct DistFixture {
     return sim::TraceGenerator(input.classes, tc, /*seed=*/77);
   }
 
-  DistFixture()
+  ReplicatedFixture()
       : tm(traffic::gravity_matrix(topology.graph,
                                    traffic::paper_total_sessions(11))),
         bootstrap(topology, tm, controller_options()),
@@ -56,33 +56,46 @@ struct DistFixture {
     return sim::ReplaySimulator(input, initial.bundle, ropts);
   }
 
-  ReplicatedLoopOptions loop_options(const sim::FailureSchedule* faults,
-                                     int replicas = 3) {
-    ReplicatedLoopOptions dopts;
-    dopts.replicas = replicas;
-    dopts.replica.estimator.scale_to_total = tm.total();
+  /// `n` fresh controllers built from the bootstrap's constants, one per
+  /// replica; none has solved anything yet.
+  std::vector<core::Controller*> fresh_controllers(int n) {
+    std::vector<core::Controller*> controllers;
+    for (int r = 0; r < n; ++r)
+      controllers.push_back(
+          &replica_controllers.emplace_back(topology, tm, controller_options()));
+    return controllers;
+  }
+
+  ControlLoopOptions loop_options(const sim::FailureSchedule* faults) {
+    ControlLoopOptions dopts;
+    dopts.estimator_options.scale_to_total = tm.total();
     dopts.faults = faults;
     return dopts;
   }
 };
 
 TEST(ReplicatedLoop, NoFaultsConvergesToSingleControllerBehavior) {
-  DistFixture f;
+  ReplicatedFixture f;
   sim::ReplaySimulator rsim = f.make_simulator(nullptr);
-  ReplicatedControlLoop rloop(f.topology, f.tm, DistFixture::controller_options(),
-                              rsim, f.initial.bundle, f.loop_options(nullptr));
+  // Replica 0, the leader, runs its epochs on the bootstrap controller.
+  std::vector<core::Controller*> controllers = {&f.bootstrap};
+  for (core::Controller* fresh : f.fresh_controllers(2)) controllers.push_back(fresh);
+  ControlLoop rloop(controllers, rsim, f.initial.bundle, f.loop_options(nullptr));
 
-  // The oracle: the plain single-controller loop on an identical data
-  // plane, fed byte-identical windows (same generator seed).
+  // The oracle: the one-controller loop on a second bootstrap controller
+  // and an identical data plane, fed byte-identical windows (same
+  // generator seed).
+  core::Controller oracle(f.topology, f.tm, ReplicatedFixture::controller_options());
+  ASSERT_EQ(oracle.run({.tm = &f.tm}).bundle.configs, f.initial.bundle.configs);
   sim::ReplaySimulator ssim(f.input, f.initial.bundle);
-  online::ControlLoopOptions lopts;
+  ControlLoopOptions lopts;
   lopts.estimator_options.scale_to_total = f.tm.total();
-  online::ControlLoop sloop(f.bootstrap, ssim, f.initial.bundle, lopts);
+  ControlLoop sloop(oracle, ssim, f.initial.bundle, lopts);
 
-  sim::TraceGenerator rgen = DistFixture::make_generator(f.input);
-  sim::TraceGenerator sgen = DistFixture::make_generator(f.input);
-  ReplicatedIntervalReport rrep;
-  online::IntervalReport srep;
+  sim::TraceGenerator rgen = ReplicatedFixture::make_generator(f.input);
+  sim::TraceGenerator sgen = ReplicatedFixture::make_generator(f.input);
+  IntervalReport rrep;
+  IntervalReport srep;
   std::uint64_t prev_generation = 0;
   for (int w = 0; w < 4; ++w) {
     rrep = rloop.run_interval(rgen.generate(1200), rgen);
@@ -95,21 +108,27 @@ TEST(ReplicatedLoop, NoFaultsConvergesToSingleControllerBehavior) {
     EXPECT_EQ(rrep.replicas_alive, 3);
     EXPECT_GE(rrep.generation, prev_generation);
     prev_generation = rrep.generation;
+    // The gossiped digest is *exact* and both leaders solve warm from the
+    // same bootstrap basis, so every interval installs the same bundle.
+    ASSERT_TRUE(rrep.install_attempted) << "interval " << w;
+    EXPECT_EQ(rrep.generation, srep.generation) << "interval " << w;
+    EXPECT_EQ(rrep.rollout.installed, srep.rollout.installed) << "interval " << w;
+    EXPECT_EQ(rrep.epoch.bundle.configs, srep.epoch.bundle.configs)
+        << "interval " << w;
   }
   EXPECT_EQ(rrep.elections_total, 1u);
-  // The gossiped digest is *exact*, so the leader's estimate — and the
-  // resulting plan — matches the centralized loop, not approximately.
+  // The leader's estimate — and the resulting plan — matches the
+  // centralized loop exactly, not approximately.
   EXPECT_NEAR(rrep.estimate_total, srep.estimate_total,
               1e-9 * srep.estimate_total);
   ASSERT_TRUE(rrep.epoch_run);
   EXPECT_FALSE(rrep.epoch.degraded);
   EXPECT_FALSE(srep.epoch.degraded);
-  EXPECT_NEAR(rrep.epoch.assignment.load_cost, srep.epoch.assignment.load_cost,
-              1e-6 * srep.epoch.assignment.load_cost);
+  EXPECT_EQ(rrep.epoch.assignment.load_cost, srep.epoch.assignment.load_cost);
 }
 
 TEST(Failover, LeaderCrashResumesGenerationsWithoutRegression) {
-  DistFixture f;
+  ReplicatedFixture f;
   sim::FailureSchedule faults;
   sim::FailureEvent crash;
   crash.kind = sim::FailureKind::kControllerCrash;
@@ -119,11 +138,11 @@ TEST(Failover, LeaderCrashResumesGenerationsWithoutRegression) {
   faults.add(crash);
 
   sim::ReplaySimulator sim = f.make_simulator(&faults);
-  ReplicatedControlLoop loop(f.topology, f.tm, DistFixture::controller_options(),
-                             sim, f.initial.bundle, f.loop_options(&faults));
-  sim::TraceGenerator gen = DistFixture::make_generator(f.input);
+  ControlLoop loop(f.fresh_controllers(3), sim, f.initial.bundle,
+                   f.loop_options(&faults));
+  sim::TraceGenerator gen = ReplicatedFixture::make_generator(f.input);
 
-  std::vector<ReplicatedIntervalReport> reports;
+  std::vector<IntervalReport> reports;
   std::uint64_t prev_generation = 0;
   for (int w = 0; w < 8; ++w) {
     reports.push_back(loop.run_interval(gen.generate(1000), gen));
@@ -159,7 +178,7 @@ TEST(Failover, LeaderCrashInEachWindowThirdNeverDoubleInstalls) {
   } cases[] = {{1166, 0}, {1500, 1}, {1833, 2}};
   for (const auto& c : cases) {
     SCOPED_TRACE(testing::Message() << "crash begin " << c.begin);
-    DistFixture f;
+    ReplicatedFixture f;
     sim::FailureSchedule faults;
     sim::FailureEvent crash;
     crash.kind = sim::FailureKind::kControllerCrash;
@@ -169,12 +188,11 @@ TEST(Failover, LeaderCrashInEachWindowThirdNeverDoubleInstalls) {
     faults.add(crash);
 
     sim::ReplaySimulator sim = f.make_simulator(&faults);
-    ReplicatedControlLoop loop(f.topology, f.tm,
-                               DistFixture::controller_options(), sim,
-                               f.initial.bundle, f.loop_options(&faults));
-    sim::TraceGenerator gen = DistFixture::make_generator(f.input);
+    ControlLoop loop(f.fresh_controllers(3), sim, f.initial.bundle,
+                     f.loop_options(&faults));
+    sim::TraceGenerator gen = ReplicatedFixture::make_generator(f.input);
 
-    std::vector<ReplicatedIntervalReport> reports;
+    std::vector<IntervalReport> reports;
     std::uint64_t prev_generation = 0;
     for (int w = 0; w < 8; ++w) {
       reports.push_back(loop.run_interval(gen.generate(1000), gen));
@@ -183,7 +201,7 @@ TEST(Failover, LeaderCrashInEachWindowThirdNeverDoubleInstalls) {
       ASSERT_GE(reports.back().generation, prev_generation);
       prev_generation = reports.back().generation;
     }
-    const ReplicatedIntervalReport& dying = reports[1];
+    const IntervalReport& dying = reports[1];
     EXPECT_EQ(dying.leader, 0) << "lease was committed before the crash";
     EXPECT_EQ(dying.epoch_run, c.phase >= 1);
     EXPECT_EQ(dying.install_attempted, c.phase >= 2);
@@ -204,7 +222,7 @@ TEST(Failover, LeaderCrashInEachWindowThirdNeverDoubleInstalls) {
 }
 
 TEST(Failover, MinorityPartitionStrandingLeaderFailsOverThenHeals) {
-  DistFixture f;
+  ReplicatedFixture f;
   sim::FailureSchedule faults;
   sim::FailureEvent cut;
   cut.kind = sim::FailureKind::kPartition;
@@ -214,11 +232,11 @@ TEST(Failover, MinorityPartitionStrandingLeaderFailsOverThenHeals) {
   faults.add(cut);
 
   sim::ReplaySimulator sim = f.make_simulator(&faults);
-  ReplicatedControlLoop loop(f.topology, f.tm, DistFixture::controller_options(),
-                             sim, f.initial.bundle, f.loop_options(&faults));
-  sim::TraceGenerator gen = DistFixture::make_generator(f.input);
+  ControlLoop loop(f.fresh_controllers(3), sim, f.initial.bundle,
+                   f.loop_options(&faults));
+  sim::TraceGenerator gen = ReplicatedFixture::make_generator(f.input);
 
-  std::vector<ReplicatedIntervalReport> reports;
+  std::vector<IntervalReport> reports;
   std::uint64_t prev_generation = 0;
   for (int w = 0; w < 8; ++w) {
     reports.push_back(loop.run_interval(gen.generate(1000), gen));
@@ -241,14 +259,14 @@ TEST(Failover, MinorityPartitionStrandingLeaderFailsOverThenHeals) {
       majority_leader_seen = true;
   EXPECT_TRUE(majority_leader_seen);
   // Healed: full digest coverage again, installs keep flowing.
-  const ReplicatedIntervalReport& last = reports[7];
+  const IntervalReport& last = reports[7];
   EXPECT_EQ(last.partition, 0u);
   EXPECT_EQ(last.replicas_heard, 3);
   EXPECT_GT(last.generation, reports[2].generation);
 }
 
 TEST(ReplicatedLoop, ConservesEverySessionAcrossFailover) {
-  DistFixture f;
+  ReplicatedFixture f;
   sim::FailureSchedule faults;
   sim::FailureEvent crash;
   crash.kind = sim::FailureKind::kControllerCrash;
@@ -258,9 +276,9 @@ TEST(ReplicatedLoop, ConservesEverySessionAcrossFailover) {
   faults.add(crash);
 
   sim::ReplaySimulator sim = f.make_simulator(&faults);
-  ReplicatedControlLoop loop(f.topology, f.tm, DistFixture::controller_options(),
-                             sim, f.initial.bundle, f.loop_options(&faults));
-  sim::TraceGenerator gen = DistFixture::make_generator(f.input);
+  ControlLoop loop(f.fresh_controllers(3), sim, f.initial.bundle,
+                   f.loop_options(&faults));
+  sim::TraceGenerator gen = ReplicatedFixture::make_generator(f.input);
   std::uint64_t replayed = 0;
   for (int w = 0; w < 8; ++w)
     replayed += loop.run_interval(gen.generate(1000), gen).sessions_replayed;
@@ -278,7 +296,7 @@ TEST(ReplicatedLoop, ConservesEverySessionAcrossFailover) {
 }
 
 TEST(ReplicatedLoop, SustainedMirrorBlackholeReachesTheEpoch) {
-  DistFixture f;
+  ReplicatedFixture f;
   // The datacenter mirror drops every tunnelled frame and fails its
   // keepalive for the first three intervals.
   constexpr int kPerInterval = 1000;
@@ -292,16 +310,16 @@ TEST(ReplicatedLoop, SustainedMirrorBlackholeReachesTheEpoch) {
   event.end = 3 * kPerInterval;
   hole.add(event);
   sim::ReplaySimulator sim = f.make_simulator(&hole);
-  ReplicatedControlLoop loop(f.topology, f.tm, DistFixture::controller_options(),
-                             sim, f.initial.bundle, f.loop_options(nullptr));
-  sim::TraceGenerator gen = DistFixture::make_generator(f.input);
+  ControlLoop loop(f.fresh_controllers(3), sim, f.initial.bundle,
+                   f.loop_options(nullptr));
+  sim::TraceGenerator gen = ReplicatedFixture::make_generator(f.input);
 
   // One bad window stays below the down_after = 2 hysteresis.
-  const ReplicatedIntervalReport first =
+  const IntervalReport first =
       loop.run_interval(gen.generate(kPerInterval), gen);
   EXPECT_EQ(first.failures_reported, 0);
   loop.run_interval(gen.generate(kPerInterval), gen);
-  const ReplicatedIntervalReport third =
+  const IntervalReport third =
       loop.run_interval(gen.generate(kPerInterval), gen);
   // By the third interval the leader's epoch carries the verdict, and the
   // plan routes nothing to the dead datacenter.
@@ -315,16 +333,15 @@ TEST(ReplicatedLoop, SingleReplicaDegeneratesToOneController) {
   // A lone replica is its own majority: it wins one election and renews
   // its lease on every heartbeat, so it never lapses and re-elects itself
   // (nine intervals span three default leases).
-  DistFixture f;
+  ReplicatedFixture f;
   sim::ReplaySimulator sim = f.make_simulator(nullptr);
-  ReplicatedControlLoop loop(f.topology, f.tm, DistFixture::controller_options(),
-                             sim, f.initial.bundle,
-                             f.loop_options(nullptr, /*replicas=*/1));
-  sim::TraceGenerator gen = DistFixture::make_generator(f.input);
+  ControlLoop loop(f.fresh_controllers(1), sim, f.initial.bundle,
+                   f.loop_options(nullptr));
+  sim::TraceGenerator gen = ReplicatedFixture::make_generator(f.input);
   std::uint64_t generation = f.initial.bundle.generation;
   for (int w = 0; w < 9; ++w) {
     SCOPED_TRACE("interval " + std::to_string(w));
-    const ReplicatedIntervalReport report =
+    const IntervalReport report =
         loop.run_interval(gen.generate(300), gen);
     EXPECT_EQ(report.leader, 0);
     EXPECT_EQ(report.term, 1u);
@@ -337,14 +354,13 @@ TEST(ReplicatedLoop, SingleReplicaDegeneratesToOneController) {
 }
 
 TEST(ReplicatedLoop, ExportsDistMetrics) {
-  DistFixture f;
+  ReplicatedFixture f;
   obs::Registry registry;
   sim::ReplaySimulator sim = f.make_simulator(nullptr);
-  ReplicatedLoopOptions dopts = f.loop_options(nullptr);
+  ControlLoopOptions dopts = f.loop_options(nullptr);
   dopts.metrics = &registry;
-  ReplicatedControlLoop loop(f.topology, f.tm, DistFixture::controller_options(),
-                             sim, f.initial.bundle, dopts);
-  sim::TraceGenerator gen = DistFixture::make_generator(f.input);
+  ControlLoop loop(f.fresh_controllers(3), sim, f.initial.bundle, dopts);
+  sim::TraceGenerator gen = ReplicatedFixture::make_generator(f.input);
   for (int w = 0; w < 3; ++w) loop.run_interval(gen.generate(800), gen);
 
   EXPECT_EQ(registry.counter("nwlb_dist_intervals_total").value(), 3u);
@@ -357,42 +373,45 @@ TEST(ReplicatedLoop, ExportsDistMetrics) {
 }
 
 TEST(ReplicatedLoopOptions, ValidateRejectsEachBadValue) {
-  ReplicatedLoopOptions edge;
-  edge.replicas = ReplicatedLoopOptions::kMaxReplicas;
+  ControlLoopOptions edge;
   edge.consensus_rounds = 1;
-  EXPECT_NO_THROW(edge.validate());
+  EXPECT_NO_THROW(edge.validate(ControlLoopOptions::kMaxReplicas));
 
-  using Spoil = void (*)(ReplicatedLoopOptions&);
+  // Each case spoils one option of a three-replica loop, or the count.
+  using Spoil = void (*)(ControlLoopOptions&, int& replicas);
   const std::vector<std::pair<const char*, Spoil>> spoils = {
-      {"replicas 0", [](ReplicatedLoopOptions& o) { o.replicas = 0; }},
+      {"replicas 0", [](ControlLoopOptions&, int& replicas) { replicas = 0; }},
       {"replicas 33",
-       [](ReplicatedLoopOptions& o) { o.replicas = ReplicatedLoopOptions::kMaxReplicas + 1; }},
-      {"rounds 0", [](ReplicatedLoopOptions& o) { o.consensus_rounds = 0; }},
-      {"drop 1.5", [](ReplicatedLoopOptions& o) { o.bus.drop_probability = 1.5; }},
-      {"delay -1", [](ReplicatedLoopOptions& o) { o.bus.max_delay_rounds = -1; }},
-      {"lease 0", [](ReplicatedLoopOptions& o) { o.replica.lease_ticks = 0; }},
-      {"estimator bogus", [](ReplicatedLoopOptions& o) { o.replica.estimator_spec = "bogus"; }},
-      {"window 0", [](ReplicatedLoopOptions& o) { o.replica.estimator.window = 0; }},
+       [](ControlLoopOptions&, int& replicas) {
+         replicas = ControlLoopOptions::kMaxReplicas + 1;
+       }},
+      {"rounds 0", [](ControlLoopOptions& o, int&) { o.consensus_rounds = 0; }},
+      {"drop 1.5", [](ControlLoopOptions& o, int&) { o.bus.drop_probability = 1.5; }},
+      {"delay -1", [](ControlLoopOptions& o, int&) { o.bus.max_delay_rounds = -1; }},
+      {"lease 0", [](ControlLoopOptions& o, int&) { o.replica.lease_ticks = 0; }},
+      {"estimator bogus", [](ControlLoopOptions& o, int&) { o.estimator = "bogus"; }},
+      {"window 0", [](ControlLoopOptions& o, int&) { o.estimator_options.window = 0; }},
   };
   for (const auto& [what, spoil] : spoils) {
-    ReplicatedLoopOptions options;
-    spoil(options);
-    EXPECT_THROW(options.validate(), std::invalid_argument) << what;
+    ControlLoopOptions options;
+    int replicas = 3;
+    spoil(options, replicas);
+    EXPECT_THROW(options.validate(replicas), std::invalid_argument) << what;
   }
 }
 
 TEST(ReplicatedLoopOptions, ValidateRejectsControlPlaneTargetsOutsideTheCluster) {
-  ReplicatedLoopOptions options;  // Three replicas: ids 0, 1 and 2.
+  ControlLoopOptions options;  // Three replicas: ids 0, 1 and 2.
   const sim::FailureSchedule edge =
       sim::FailureSchedule::parse("controller_crash 2 0 -; partition 7 0 -; crash 9 0 -");
   options.faults = &edge;
-  EXPECT_NO_THROW(options.validate());
+  EXPECT_NO_THROW(options.validate(3));
 
   for (const char* spec : {"controller_crash 3 0 -", "partition 8 0 -", "partition 9 0 -"}) {
     const sim::FailureSchedule faults = sim::FailureSchedule::parse(spec);
     options.faults = &faults;
     try {
-      options.validate();
+      options.validate(3);
       ADD_FAILURE() << spec << " was accepted";
     } catch (const std::invalid_argument& e) {
       const std::string message = e.what();
@@ -403,4 +422,4 @@ TEST(ReplicatedLoopOptions, ValidateRejectsControlPlaneTargetsOutsideTheCluster)
 }
 
 }  // namespace
-}  // namespace nwlb::dist
+}  // namespace nwlb::online

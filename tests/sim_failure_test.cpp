@@ -2,6 +2,7 @@
 // plus the FailureSchedule fault model (crash / blackhole / link-down),
 // mirror-health-driven degradation, and recovery behaviour.
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -180,6 +181,25 @@ TEST(FailureScheduleSpec, ParseRejectsBadInput) {
   EXPECT_THROW(FailureSchedule::parse("crash 3 10 5"), std::invalid_argument);   // end < begin
   EXPECT_THROW(FailureSchedule::parse("crash 3 0 10 2.0"), std::invalid_argument);  // severity > 1
   EXPECT_THROW(FailureSchedule::parse("crash -1 0 10"), std::invalid_argument);  // bad target
+  // Every number is one whole token, unsigned where the field is: no
+  // wrapped negative index, no number with a tail, no unreadable severity
+  // falling back to full, and nothing after the severity.
+  for (const char* spec : {"crash 3 -5 -", "crash 3 100 -5", "crash 3 1 12abc",
+                           "crash 3 100 200 0.5xyz", "crash 3 100 200 abc",
+                           "crash 3 100 200 nan", "crash 3x 100 200",
+                           "crash 3 100 200 0.5 extra"}) {
+    try {
+      FailureSchedule::parse(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos) << e.what();
+    }
+  }
+  // The open end and a partial severity still parse.
+  const FailureSchedule open = FailureSchedule::parse("crash 3 100 inf 0.5");
+  ASSERT_EQ(open.events().size(), 1u);
+  EXPECT_EQ(open.events()[0].end, FailureEvent::kNever);
+  EXPECT_EQ(open.events()[0].severity, 0.5);
 }
 
 TEST(FailureScheduleSpec, ParseRejectsOutOfOrderEvents) {

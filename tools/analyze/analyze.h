@@ -96,7 +96,7 @@ std::string module_of(const std::string& repo_path);
 
 /// Rank in the layering DAG; includes must point strictly downward.
 /// util=0 < topo/lp/obs=10 < nids/traffic=20 < shim=25 < core=30 <
-/// sim=40 < online=50 < dist=60 < everything on top=100.
+/// sim=40 < online=50 < everything on top=100.
 int layer_rank(const std::string& module);
 
 /// True when the raw line carries an allow annotation naming `rule`

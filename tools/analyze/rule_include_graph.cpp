@@ -3,7 +3,7 @@
 // The repo's dependency discipline (DESIGN.md §11):
 //
 //   util  →  topo / lp / obs  →  nids / traffic  →  shim  →  core  →  sim
-//         →  online  →  dist,   with tools / tests / bench / examples on top.
+//         →  online,   with tools / tests / bench / examples on top.
 //
 // An `#include` must point strictly *down* that order (or stay inside its
 // own module).  Peers in the same band — topo/lp/obs, nids/traffic — may
@@ -65,7 +65,7 @@ class IncludeLayeringRule : public Rule {
   std::string_view name() const override { return "include-layering"; }
   std::string_view description() const override {
     return "includes must follow the layering DAG: util -> topo/lp/obs -> "
-           "nids/traffic -> shim -> core -> sim -> online -> dist, with "
+           "nids/traffic -> shim -> core -> sim -> online, with "
            "tools/tests/bench/examples on top";
   }
   void check_corpus(const Corpus& corpus, Sink& sink) const override {
@@ -87,7 +87,7 @@ class IncludeLayeringRule : public Rule {
                           "`: `" + to_module +
                           "` sits above it in the layering DAG (util -> "
                           "topo/lp/obs -> nids/traffic -> shim -> core -> sim "
-                          "-> online -> dist)");
+                          "-> online)");
         } else if (to_rank == from_rank && from_rank < 100) {
           sink.report(file, inc.line_index, name(),
                       "`" + from_module + "` must not include `" + inc.target +

@@ -184,7 +184,6 @@ int layer_rank(const std::string& module) {
   if (module == "core") return 30;
   if (module == "sim") return 40;
   if (module == "online") return 50;
-  if (module == "dist") return 60;
   return 100;  // tools / tests / bench / examples / unknown: on top.
 }
 

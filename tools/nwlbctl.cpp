@@ -18,6 +18,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -29,7 +30,6 @@
 
 #include "core/controller.h"
 #include "core/mapper.h"
-#include "dist/replicated_loop.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "online/loop.h"
@@ -202,7 +202,7 @@ struct Flag {
 };
 
 constexpr int kMaxWorkers = sim::ReplayOptions::kMaxWorkers;
-constexpr int kMaxReplicas = dist::ReplicatedLoopOptions::kMaxReplicas;
+constexpr int kMaxReplicas = online::ControlLoopOptions::kMaxReplicas;
 using O = CliOptions;
 constexpr Flag kFlags[] = {
     {"--topology", kAllRuns, [](O& o, Arg& a) { o.topology = a.text(); }},
@@ -484,18 +484,12 @@ struct Deployment {
     live.estimator = opt.estimator;
     live.estimator_options = {.window = opt.estimator_window, .scale_to_total = tm.total()};
     live.rollout.drain_sessions = opt.drain;
+    live.consensus_rounds = opt.rounds;
+    live.bus = {.drop_probability = opt.drop, .max_delay_rounds = opt.delay};
+    live.replica.lease_ticks = opt.lease;
+    live.faults = ropts.failures;
     live.metrics = &registry;
-    replicated.replicas = opt.replicas;
-    replicated.consensus_rounds = opt.rounds;
-    replicated.bus = {.drop_probability = opt.drop, .max_delay_rounds = opt.delay};
-    replicated.replica.lease_ticks = opt.lease;
-    replicated.replica.estimator_spec = live.estimator;
-    replicated.replica.estimator = live.estimator_options;
-    replicated.rollout = live.rollout;
-    replicated.faults = ropts.failures;
-    replicated.metrics = &registry;
-    if (mode == kLive) live.validate();
-    if (mode == kReplicated) replicated.validate();
+    if ((mode & kLiveLoops) != 0) live.validate(opt.replicas);
 
     // Build the bootstrap controller; the replicated loop's is a throwaway
     // built from the same constants as every replica, and records nothing.
@@ -567,8 +561,7 @@ struct Deployment {
   // controller_crash/partition ones.
   std::optional<sim::FailureSchedule> schedule;
   std::optional<traffic::SelfSimilarTraffic> bursts;
-  online::ControlLoopOptions live;         // Read by the --live loop.
-  dist::ReplicatedLoopOptions replicated;  // Read by the replicated loop.
+  online::ControlLoopOptions live;  // Read by the --live loops.
   std::optional<core::Controller> controller;
   core::EpochResult initial;
   core::ProblemInput input;
@@ -663,8 +656,13 @@ int run_failures(Deployment& d) {
 /// controller_crash / partition events from --failures drive failover.
 int run_replicated(Deployment& d) {
   const CliOptions& opt = d.opt;
-  dist::ReplicatedControlLoop loop(d.topology, d.tm, d.copts, *d.simulator,
-                                   d.initial.bundle, d.replicated);
+  // Every replica gets a fresh controller built from the deployment's
+  // constants, which records nothing: telemetry is the loop's job.
+  std::deque<core::Controller> replicas;
+  std::vector<core::Controller*> controllers;
+  for (int r = 0; r < opt.replicas; ++r)
+    controllers.push_back(&replicas.emplace_back(d.topology, d.tm, d.copts));
+  online::ControlLoop loop(controllers, *d.simulator, d.initial.bundle, d.live);
   std::cout << "topology=" << d.topology.name << " arch=" << opt.arch
             << " replicas=" << opt.replicas << " lease=" << opt.lease
             << " drop=" << opt.drop << " estimator=" << opt.estimator;
@@ -673,7 +671,7 @@ int run_replicated(Deployment& d) {
   util::Table table({"Interval", "Sessions", "Leader", "Term", "Gen", "Rollout",
                      "Alive", "Heard", "Epoch"});
   for (int w = 0; w < opt.epochs; ++w) {
-    const dist::ReplicatedIntervalReport report =
+    const online::IntervalReport report =
         loop.run_interval(d.interval_sessions(w), *d.generator);
     std::string rollout = "-";
     if (report.install_attempted)
